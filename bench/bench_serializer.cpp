@@ -132,75 +132,6 @@ Measurement run_cell(const char* type_name, double density,
   return m;
 }
 
-/// The seed data path this PR replaced: gather into a growable record
-/// vector, copy the slice into a per-chunk buffer, copy the chunk into the
-/// backend's wire buffer. Measured here so the zero-copy speedup stays an
-/// observable number instead of folklore.
-template <typename T>
-Measurement run_legacy_cell(const char* type_name, double density,
-                            rt::Rng& rng) {
-  constexpr std::uint32_t n = 1u << 16;
-  std::vector<graph::VertexId> shared(n);
-  for (std::uint32_t i = 0; i < n; ++i) shared[i] = i;
-  rt::ConcurrentBitset dirty(n);
-  std::vector<T> labels(n);
-  const auto threshold =
-      static_cast<std::uint64_t>(density * 1000000.0 + 0.5);
-  std::size_t count = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint64_t raw = rng();
-    std::memcpy(&labels[i], &raw, sizeof(T));
-    if (rng.below(1000000) < threshold) {
-      dirty.set(i);
-      ++count;
-    }
-  }
-
-  Measurement m;
-  m.type = type_name;
-  m.mode = "legacy";
-  m.density = density;
-  m.records = count;
-  if (count == 0) return m;
-
-  const int reps =
-      static_cast<int>(std::max<std::size_t>(1, (1u << 22) / count));
-  std::vector<std::byte> records;
-  std::vector<std::byte> chunk;
-  std::vector<std::byte> wire;
-  const double enc_start = now_s();
-  for (int r = 0; r < reps; ++r) {
-    records.clear();
-    records.reserve(1024);  // the seed's guess-sized reservation
-    comm::gather_records<T>(shared, dirty, labels.data(), records);
-    chunk.assign(records.begin(), records.end());  // per-chunk slice copy
-    wire.resize(chunk.size());                     // backend wire copy
-    std::memcpy(wire.data(), chunk.data(), chunk.size());
-  }
-  const double enc_s = now_s() - enc_start;
-
-  std::uint64_t sink = 0;
-  const double dec_start = now_s();
-  for (int r = 0; r < reps; ++r) {
-    comm::scatter_records<T>(wire.data(), wire.size(),
-                             [&](std::uint32_t pos, T value) {
-                               std::uint64_t bits = 0;
-                               std::memcpy(&bits, &value, sizeof(T));
-                               sink += pos ^ bits;
-                             });
-  }
-  const double dec_s = now_s() - dec_start;
-  if (sink == 0xDEADBEEF) std::printf("(unlikely)\n");
-
-  const double total_records =
-      static_cast<double>(count) * static_cast<double>(reps);
-  m.format = comm::WireFormat::Sparse;
-  m.bytes_per_record = static_cast<double>(wire.size()) / count;
-  m.encode_mrps = total_records / std::max(enc_s, 1e-12) * 1e-6;
-  m.decode_mrps = total_records / std::max(dec_s, 1e-12) * 1e-6;
-  return m;
-}
-
 std::string json_out(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::string(argv[i]) == "--json-out") return argv[i + 1];
@@ -226,17 +157,11 @@ int main(int argc, char** argv) {
                       "bytes/rec", "enc Mrec/s", "dec Mrec/s"});
   std::vector<Measurement> all;
   for (const double density : densities) {
-    for (int cell = 0; cell < 5; ++cell) {
+    for (const auto& mode : modes) {
       for (int type = 0; type < 2; ++type) {
-        Measurement m;
-        if (cell == 4) {
-          m = type == 0 ? run_legacy_cell<std::uint32_t>("u32", density, rng)
-                        : run_legacy_cell<double>("f64", density, rng);
-        } else {
-          const auto& mode = modes[cell];
-          m = type == 0 ? run_cell<std::uint32_t>("u32", density, mode, rng)
-                        : run_cell<double>("f64", density, mode, rng);
-        }
+        const Measurement m =
+            type == 0 ? run_cell<std::uint32_t>("u32", density, mode, rng)
+                      : run_cell<double>("f64", density, mode, rng);
         all.push_back(m);
         char dens[16], bpr[16], encs[16], decs[16];
         std::snprintf(dens, sizeof(dens), "%.3f%%", 100.0 * density);
@@ -252,29 +177,6 @@ int main(int argc, char** argv) {
   std::printf("\nshape to check: auto's bytes/rec tracks the cheapest mode "
               "at every density; dense at 100%% ships half of sparse for "
               "u32.\n");
-
-  // Zero-copy speedup vs the seed path (record vector + chunk copy + wire
-  // copy), per density: encode-rate ratio of "auto" over "legacy".
-  std::printf("\nserialization speedup vs seed (copying) path:\n");
-  for (const double density : densities) {
-    for (const char* type : {"u32", "f64"}) {
-      const Measurement* auto_m = nullptr;
-      const Measurement* legacy_m = nullptr;
-      for (const Measurement& m : all) {
-        if (m.density != density || m.type != type) continue;
-        if (m.mode == "auto") auto_m = &m;
-        if (m.mode == "legacy") legacy_m = &m;
-      }
-      if (auto_m == nullptr || legacy_m == nullptr ||
-          legacy_m->encode_mrps <= 0.0)
-        continue;
-      std::printf("  %s @ %7.3f%%: %.2fx encode, %.2fx wire bytes\n", type,
-                  100.0 * density,
-                  auto_m->encode_mrps / legacy_m->encode_mrps,
-                  legacy_m->bytes_per_record /
-                      std::max(auto_m->bytes_per_record, 1e-9));
-    }
-  }
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

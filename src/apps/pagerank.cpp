@@ -1,14 +1,12 @@
 #include "apps/pagerank.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <mutex>
 
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
-#include "runtime/timer.hpp"
-#include "telemetry/trace.hpp"
+#include "apps/round_loop.hpp"
+#include "runtime/spinlock.hpp"
 
 namespace lcr::apps {
 
@@ -25,35 +23,13 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
 
   const abelian::SyncPlan plan = abelian::plan_accumulate(g.policy);
 
-  std::uint32_t iter = 0;
-  std::uint32_t resumed_at = std::numeric_limits<std::uint32_t>::max();
-
-  // Recovery: the per-iteration transient state (accum, dirty sets) is
-  // rebuilt every round, so the checkpoint is just the rank vector.
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 1 && arrays[0].size() == n_local * sizeof(double)) {
-      if (n_local > 0)
-        std::memcpy(rank.data(), arrays[0].data(), arrays[0].size());
-      iter = static_cast<std::uint32_t>(rec->resume_round);
-      resumed_at = iter;
-    }
-  }
-
-  for (; iter < opt.max_iterations; ++iter) {
-    eng.cluster().round_tick(g.host_id, static_cast<std::int64_t>(iter));
-    if (rec != nullptr && rec->interval > 0 &&
-        iter % static_cast<std::uint32_t>(rec->interval) == 0 &&
-        iter != resumed_at) {
-      rec->store->save(rec->host, static_cast<std::int64_t>(iter),
-                       {{rank.data(), n_local * sizeof(double)}});
-    }
-    telemetry::Span round_span("app", "round", g.host_id);
+  // The per-iteration transients (accum, dirty sets) are rebuilt every
+  // round, so the checkpoint is just the rank vector.
+  RoundLoop loop(eng.cluster(), g.host_id, eng.stats().compute_s, rec);
+  loop.checkpoint(rank);
+  loop.run(opt.max_iterations, [&] {
     // --- Computation: scatter contributions along local out-edges ---
-    rt::Timer compute_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(
           0, n_local, [&](std::size_t lo, std::size_t hi, std::size_t) {
             for (std::size_t lid = lo; lid < hi; ++lid) {
@@ -68,8 +44,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
                   });
             }
           });
-    }
-    eng.stats().compute_s += compute_timer.elapsed_s();
+    });
 
     // --- Reduce: Add dirty accumulator mirrors into masters (skipped when
     // the partition guarantees contributions land on masters, e.g. the
@@ -86,10 +61,8 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
     }
 
     // --- Recompute masters, measure convergence ---
-    rt::Timer recompute_timer;
     double local_delta = 0.0;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       rt::Spinlock delta_lock;
       eng.team().parallel_chunks(
           0, g.num_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
@@ -104,8 +77,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
             std::lock_guard<rt::Spinlock> guard(delta_lock);
             local_delta += delta;
           });
-    }
-    eng.stats().compute_s += recompute_timer.elapsed_s();
+    });
 
     // --- Broadcast new ranks to mirrors (vertex cuts only) ---
     if (plan.do_broadcast) {
@@ -114,9 +86,7 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
     }
 
     // --- Reset round state ---
-    rt::Timer reset_timer;
-    {
-      telemetry::Span compute_span("app", "compute", g.host_id);
+    loop.compute([&] {
       eng.team().parallel_chunks(0, n_local,
                                  [&](std::size_t lo, std::size_t hi,
                                      std::size_t) {
@@ -125,13 +95,12 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
                                  });
       dirty.clear_all();
       rank_dirty.clear_all();
-    }
-    eng.stats().compute_s += reset_timer.elapsed_s();
+    });
     eng.stats().rounds++;
 
     const double global_delta = eng.cluster().oob_allreduce_sum(local_delta);
-    if (opt.tolerance > 0.0 && global_delta < opt.tolerance) break;
-  }
+    return !(opt.tolerance > 0.0 && global_delta < opt.tolerance);
+  });
   return rank;
 }
 

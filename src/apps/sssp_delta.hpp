@@ -18,12 +18,13 @@
 #include <vector>
 
 #include "abelian/engine.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace lcr::apps {
 
 struct DeltaSsspStats {
   std::uint64_t buckets = 0;      // bucket epochs processed
-  std::uint64_t relaxations = 0;  // edge relaxations performed
+  std::uint64_t relaxations = 0;  // edge relaxations since the last (re)start
 };
 
 /// Runs distributed delta-stepping SSSP from `source`; returns this host's
@@ -32,6 +33,7 @@ struct DeltaSsspStats {
 std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
                                           graph::VertexId source,
                                           std::uint32_t delta = 0,
-                                          DeltaSsspStats* stats = nullptr);
+                                          DeltaSsspStats* stats = nullptr,
+                                          rt::RecoveryCtx* rec = nullptr);
 
 }  // namespace lcr::apps

@@ -102,6 +102,112 @@ void note_rollback_rounds(telemetry::Registry& reg,
     reg.counter("ckpt.rollback_rounds").add(rounds_at_fail - resume);
 }
 
+void run_gemini_app(gemini::GeminiHost& host, const RunSpec& spec,
+                    rt::RecoveryCtx& rec, const graph::DistGraph& part,
+                    RunResult& result) {
+  if (spec.app == "pagerank") {
+    write_masters(part,
+                  host.run_pagerank(0.85, spec.pagerank_iters,
+                                    spec.pagerank_tol, &rec),
+                  result.labels_f64);
+    return;
+  }
+  std::vector<std::uint32_t> labels;
+  if (spec.app == "bfs")
+    labels = host.run_push<apps::BfsTraits>(spec.source, &rec);
+  else if (spec.app == "cc")
+    labels = host.run_push<apps::CcTraits>(0, &rec);
+  else if (spec.app == "labelprop")
+    labels = host.run_push<apps::LabelPropTraits>(0, &rec);
+  else if (spec.app == "sssp")
+    labels = host.run_push<apps::SsspTraits>(spec.source, &rec);
+  else
+    throw std::invalid_argument("unknown app: " + spec.app);
+  write_masters(part, labels, result.labels_u32);
+}
+
+void run_abelian_app(abelian::HostEngine& eng, const RunSpec& spec,
+                     rt::RecoveryCtx& rec, const graph::DistGraph& part,
+                     RunResult& result) {
+  if (spec.app == "pagerank") {
+    apps::PagerankOptions opt;
+    opt.max_iterations = spec.pagerank_iters;
+    opt.tolerance = spec.pagerank_tol;
+    write_masters(part, apps::run_pagerank(eng, opt, &rec), result.labels_f64);
+    return;
+  }
+  std::vector<std::uint32_t> labels;
+  if (spec.app == "bfs")
+    labels = apps::run_bfs(eng, spec.source, &rec);
+  else if (spec.app == "cc")
+    labels = apps::run_cc(eng, &rec);
+  else if (spec.app == "labelprop")
+    labels = apps::run_labelprop(eng, &rec);
+  else if (spec.app == "sssp")
+    labels = apps::run_sssp(eng, spec.source, &rec);
+  else if (spec.app == "kcore")
+    labels = apps::run_kcore(eng, spec.kcore_k, &rec);
+  else if (spec.app == "sssp_delta")
+    labels = apps::run_sssp_delta(eng, spec.source, 0, nullptr, &rec);
+  else
+    throw std::invalid_argument("unknown app: " + spec.app);
+  write_masters(part, labels, result.labels_u32);
+}
+
+/// One host's run with fail-stop recovery (DESIGN.md §13): builds an engine
+/// with `make`, runs the app on it with `run`, and on a host kill or peer
+/// failure tears the engine down, joins the cluster recovery rendezvous and
+/// retries from the rollback round until the app completes. Fills the
+/// host's timing outcome and returns the engine that finished the run.
+template <typename Make, typename Run>
+auto run_with_recovery(abelian::Cluster& cluster, int h, rt::RecoveryCtx& rec,
+                       HostOutcome& out, RunResult& result, Make make,
+                       Run run) {
+  decltype(make()) eng;
+  bool first_attempt = true;
+  std::uint64_t measure_start_ns = 0;
+  std::uint64_t fail_ns = 0;
+  for (;;) {
+    try {
+      eng = make();
+      cluster.oob_barrier();
+      // Setup spans must not pollute the measured trace.
+      if (h == 0 && first_attempt) telemetry::reset_trace();
+      cluster.oob_barrier();
+      if (measure_start_ns == 0) measure_start_ns = rt::now_ns();
+      if (fail_ns != 0) {
+        out.recovery_s += static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
+        fail_ns = 0;
+      }
+      run(*eng);
+      break;
+    } catch (const comm::HostKilledError&) {
+      fail_ns = rt::now_ns();
+    } catch (const comm::PeerFailedError&) {
+      fail_ns = rt::now_ns();
+    }
+    first_attempt = false;
+    const std::uint64_t rounds_at_fail = eng ? eng->stats().rounds : 0;
+    eng.reset();  // tear down before re-admission (endpoint detach)
+    rec.resume = true;
+    rec.resume_round = cluster.recover(h);
+    if (h == 0)
+      note_rollback_rounds(cluster.fabric().telemetry(), rounds_at_fail,
+                           rec.resume_round);
+  }
+  out.total_s = static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
+  cluster.oob_barrier();
+  // Snapshot the registry while every host's engine (and therefore every
+  // layer's probe registration) is still alive; the trailing barrier keeps
+  // peers from tearing down early.
+  if (h == 0) result.telemetry = cluster.fabric().telemetry().snapshot();
+  cluster.oob_barrier();
+  out.compute_s = eng->stats().compute_s;
+  out.comm_s = eng->stats().comm_s;
+  out.rounds = eng->stats().rounds;
+  return eng;
+}
+
 }  // namespace
 
 RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
@@ -149,10 +255,6 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     rec.host = hs;
     rec.interval = spec.ckpt_interval;
 
-    bool first_attempt = true;
-    std::uint64_t measure_start_ns = 0;
-    std::uint64_t fail_ns = 0;
-
     if (is_gemini) {
       gemini::GeminiConfig cfg;
       cfg.comm = spec.backend == comm::BackendKind::Lci
@@ -166,68 +268,14 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
       cfg.lci_lanes = spec.lci_lanes;
       cfg.lci_servers = spec.lci_servers;
       cfg.direct_write = spec.direct_write;
-
-      std::unique_ptr<gemini::GeminiHost> host;
-      for (;;) {
-        try {
-          host = std::make_unique<gemini::GeminiHost>(cluster, part, cfg);
-          cluster.oob_barrier();
-          // Setup spans must not pollute the measured trace (mirrors the
-          // stats zeroing warmup_engine does for the abelian path).
-          if (h == 0 && first_attempt) telemetry::reset_trace();
-          cluster.oob_barrier();
-          if (measure_start_ns == 0) measure_start_ns = rt::now_ns();
-          if (fail_ns != 0) {
-            out.recovery_s +=
-                static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
-            fail_ns = 0;
-          }
-          if (spec.app == "bfs") {
-            auto labels = host->run_push<apps::BfsTraits>(spec.source, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "cc") {
-            auto labels = host->run_push<apps::CcTraits>(0, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "labelprop") {
-            auto labels =
-                host->run_push<apps::LabelPropTraits>(0, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "sssp") {
-            auto labels = host->run_push<apps::SsspTraits>(spec.source, &rec);
-            write_masters(part, labels, result.labels_u32);
-          } else if (spec.app == "pagerank") {
-            auto ranks = host->run_pagerank(0.85, spec.pagerank_iters,
-                                            spec.pagerank_tol, &rec);
-            write_masters(part, ranks, result.labels_f64);
-          } else {
-            throw std::invalid_argument("unknown app: " + spec.app);
-          }
-          break;
-        } catch (const comm::HostKilledError&) {
-          fail_ns = rt::now_ns();
-        } catch (const comm::PeerFailedError&) {
-          fail_ns = rt::now_ns();
-        }
-        first_attempt = false;
-        const std::uint64_t rounds_at_fail = host ? host->stats().rounds : 0;
-        host.reset();  // tear down before re-admission (endpoint detach)
-        rec.resume = true;
-        rec.resume_round = cluster.recover(h);
-        if (h == 0)
-          note_rollback_rounds(cluster.fabric().telemetry(), rounds_at_fail,
-                               rec.resume_round);
-      }
-      out.total_s =
-          static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
-      cluster.oob_barrier();
-      // Snapshot the registry while every host's engine (and therefore
-      // every layer's probe registration) is still alive; the trailing
-      // barrier keeps peers from tearing down early.
-      if (h == 0) result.telemetry = cluster.fabric().telemetry().snapshot();
-      cluster.oob_barrier();
-      out.compute_s = host->stats().compute_s;
-      out.comm_s = host->stats().comm_s;
-      out.rounds = host->stats().rounds;
+      const auto host = run_with_recovery(
+          cluster, h, rec, out, result,
+          [&] {
+            return std::make_unique<gemini::GeminiHost>(cluster, part, cfg);
+          },
+          [&](gemini::GeminiHost& gh) {
+            run_gemini_app(gh, spec, rec, part, result);
+          });
       out.messages = host->stats().messages.load();
       out.bytes = host->stats().bytes.load();
       return;
@@ -245,72 +293,16 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     cfg.direct_write = spec.direct_write;
     if (spec.apply_slice_records != 0)
       cfg.apply_slice_records = spec.apply_slice_records;
-
-    std::unique_ptr<abelian::HostEngine> eng;
-    for (;;) {
-      try {
-        eng = std::make_unique<abelian::HostEngine>(cluster, part, cfg);
-        warmup_engine(*eng, spec.app, policy);
-        cluster.oob_barrier();
-        if (h == 0 && first_attempt)
-          telemetry::reset_trace();  // drop warm-up spans
-        cluster.oob_barrier();
-        if (measure_start_ns == 0) measure_start_ns = rt::now_ns();
-        if (fail_ns != 0) {
-          out.recovery_s +=
-              static_cast<double>(rt::now_ns() - fail_ns) * 1e-9;
-          fail_ns = 0;
-        }
-        if (spec.app == "bfs") {
-          auto labels = apps::run_bfs(*eng, spec.source, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "cc") {
-          auto labels = apps::run_cc(*eng, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "labelprop") {
-          auto labels = apps::run_labelprop(*eng, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "sssp") {
-          auto labels = apps::run_sssp(*eng, spec.source, &rec);
-          write_masters(part, labels, result.labels_u32);
-        } else if (spec.app == "pagerank") {
-          apps::PagerankOptions opt;
-          opt.max_iterations = spec.pagerank_iters;
-          opt.tolerance = spec.pagerank_tol;
-          auto ranks = apps::run_pagerank(*eng, opt, &rec);
-          write_masters(part, ranks, result.labels_f64);
-        } else if (spec.app == "kcore") {
-          auto alive = apps::run_kcore(*eng, spec.kcore_k);
-          write_masters(part, alive, result.labels_u32);
-        } else if (spec.app == "sssp_delta") {
-          auto labels = apps::run_sssp_delta(*eng, spec.source);
-          write_masters(part, labels, result.labels_u32);
-        } else {
-          throw std::invalid_argument("unknown app: " + spec.app);
-        }
-        break;
-      } catch (const comm::HostKilledError&) {
-        fail_ns = rt::now_ns();
-      } catch (const comm::PeerFailedError&) {
-        fail_ns = rt::now_ns();
-      }
-      first_attempt = false;
-      const std::uint64_t rounds_at_fail = eng ? eng->stats().rounds : 0;
-      eng.reset();  // tear down before re-admission (endpoint detach)
-      rec.resume = true;
-      rec.resume_round = cluster.recover(h);
-      if (h == 0)
-        note_rollback_rounds(cluster.fabric().telemetry(), rounds_at_fail,
-                             rec.resume_round);
-    }
-    out.total_s =
-        static_cast<double>(rt::now_ns() - measure_start_ns) * 1e-9;
-    cluster.oob_barrier();
-    if (h == 0) result.telemetry = cluster.fabric().telemetry().snapshot();
-    cluster.oob_barrier();
-    out.compute_s = eng->stats().compute_s;
-    out.comm_s = eng->stats().comm_s;
-    out.rounds = eng->stats().rounds;
+    const auto eng = run_with_recovery(
+        cluster, h, rec, out, result,
+        [&] {
+          auto e = std::make_unique<abelian::HostEngine>(cluster, part, cfg);
+          warmup_engine(*e, spec.app, policy);
+          return e;
+        },
+        [&](abelian::HostEngine& e) {
+          run_abelian_app(e, spec, rec, part, result);
+        });
     out.messages = eng->stats().messages_sent.load();
     out.bytes = eng->stats().bytes_sent.load();
   });
@@ -338,35 +330,6 @@ RunResult run_app(const graph::Csr& g, const RunSpec& spec) {
     if (const char* env = std::getenv("LCR_HEALTH_OUT")) health_out = env;
   if (!health_out.empty()) cluster.health().write_json(health_out);
 
-  // The registry aggregates same-name probes across all endpoints/hosts, so
-  // one snapshot replaces the per-endpoint, per-field copy loop this used
-  // to hand-maintain. The named fields stay as views of the map.
-  const auto tv = [&result](const char* name) -> std::uint64_t {
-    const auto it = result.telemetry.find(name);
-    return it == result.telemetry.end() ? 0 : it->second;
-  };
-  result.wire_sends = tv("fabric.sends");
-  result.wire_puts = tv("fabric.puts");
-  result.wire_bytes = tv("fabric.bytes_tx");
-  result.wire_soft_retries = tv("fabric.retries_no_rx") +
-                             tv("fabric.retries_throttled") +
-                             tv("fabric.retries_cq_full");
-  result.faults_dropped = tv("fault.dropped");
-  result.faults_duplicated = tv("fault.duplicated");
-  result.faults_corrupted = tv("fault.corrupted");
-  result.faults_delayed = tv("fault.delayed");
-  result.faults_reordered = tv("fault.reordered");
-  result.rel_data_tx = tv("rel.data_tx");
-  result.rel_retransmits = tv("rel.retransmits");
-  result.rel_probes = tv("rel.probes_tx");
-  result.rel_acks_tx = tv("rel.acks_tx");
-  result.rel_acks_rx = tv("rel.acks_rx");
-  result.rel_delivered = tv("rel.delivered");
-  result.rel_dup_dropped = tv("rel.dup_dropped");
-  result.rel_crc_dropped = tv("rel.crc_dropped");
-  result.rel_ooo_held = tv("rel.ooo_held");
-  result.rel_ooo_dropped = tv("rel.ooo_dropped");
-  result.rel_stall_dumps = tv("rel.stall_dumps");
   for (int h = 0; h < spec.hosts; ++h) {
     const auto hs = static_cast<std::size_t>(h);
     result.total_s = std::max(result.total_s, outcomes[hs].total_s);

@@ -14,8 +14,11 @@ namespace {
 constexpr int kDataTag = 7;
 constexpr int kDirectTag = 8;
 
-/// Wire prefix of an emulated direct put: the state a NIC would carry in
-/// the work request (target token) and the notification immediates.
+/// Wire trailer of an emulated direct put: the state a NIC would carry in
+/// the work request (target token) and the notification immediates. It
+/// follows the payload, so the message starts with the payload's own
+/// ChunkHeader, where the fabric looks for the causal-trace id; as a prefix
+/// it would hide that header and direct puts would travel untraced.
 struct DirectFrame {
   std::uint64_t token;
   std::uint64_t imm;   // (generation << 32) | phase_id
@@ -145,10 +148,10 @@ void MpiProbeBackend::pump_receives() {
 
 void MpiProbeBackend::deliver_direct(const std::shared_ptr<RecvBuf>& buf) {
   if (buf->bytes.size() < sizeof(DirectFrame)) return;  // malformed: drop
+  const std::size_t payload = buf->bytes.size() - sizeof(DirectFrame);
   DirectFrame frame;
-  std::memcpy(&frame, buf->bytes.data(), sizeof(frame));
+  std::memcpy(&frame, buf->bytes.data() + payload, sizeof(frame));
   DirectSignal sig = unpack_direct_signal(buf->src, frame.imm, frame.imm2);
-  const std::size_t payload = buf->bytes.size() - sizeof(frame);
   if (payload != sig.bytes) return;  // truncated frame: drop
   // The validation ladder a NIC walks in hardware: token must be live, the
   // claimed generation must match the registration, the write must fit the
@@ -158,7 +161,7 @@ void MpiProbeBackend::deliver_direct(const std::shared_ptr<RecvBuf>& buf) {
           lci::RegionBook::Verdict::Ok ||
       !region_book_.lookup(frame.token, entry))
     return;  // rejected puts are tallied in the book and never land
-  std::memcpy(entry.base, buf->bytes.data() + sizeof(frame), payload);
+  std::memcpy(entry.base, buf->bytes.data(), payload);
   std::lock_guard<rt::Spinlock> guard(direct_lock_);
   direct_signals_.push_back(sig);
 }
@@ -244,9 +247,9 @@ DirectPutStatus MpiProbeBackend::direct_put(int dst,
   frame.imm2 = pack_direct_imm2(pattern_key, static_cast<std::uint32_t>(bytes));
   outstanding_.emplace_back();
   OutstandingSend& out = outstanding_.back();
-  out.bytes.resize(sizeof(frame) + bytes);
-  std::memcpy(out.bytes.data(), &frame, sizeof(frame));
-  std::memcpy(out.bytes.data() + sizeof(frame), payload, bytes);
+  out.bytes.resize(bytes + sizeof(frame));
+  std::memcpy(out.bytes.data(), payload, bytes);
+  std::memcpy(out.bytes.data() + bytes, &frame, sizeof(frame));
   // The staging copy is comm-buffer working set; reap_outstanding frees
   // every completed OutstandingSend, so the alloc must be tracked here or
   // the tracker's current-bytes counter underflows.

@@ -75,50 +75,6 @@ constexpr std::size_t record_bytes() {
   return sizeof(std::uint32_t) + sizeof(T);
 }
 
-/// Appends one sparse record to `out`. (Legacy path; the engines encode
-/// through encode_dirty_range into leased buffers.)
-template <typename T>
-void append_record(std::vector<std::byte>& out, std::uint32_t pos,
-                   const T& value) {
-  const std::size_t old = out.size();
-  out.resize(old + record_bytes<T>());
-  std::memcpy(out.data() + old, &pos, sizeof(pos));
-  std::memcpy(out.data() + old + sizeof(pos), &value, sizeof(T));
-}
-
-/// Gather: serialize dirty entries of the shared list into sparse records.
-/// `shared[pos]` is a local vertex id; an entry is shipped iff
-/// dirty.test(shared[pos]). Returns the number of records written.
-template <typename T>
-std::size_t gather_records(const std::vector<graph::VertexId>& shared,
-                           const rt::ConcurrentBitset& dirty, const T* labels,
-                           std::vector<std::byte>& out) {
-  std::size_t count = 0;
-  for (std::uint32_t pos = 0; pos < shared.size(); ++pos) {
-    const graph::VertexId lid = shared[pos];
-    if (dirty.test(lid)) {
-      append_record(out, pos, labels[lid]);
-      ++count;
-    }
-  }
-  return count;
-}
-
-/// Scatter: invoke fn(pos, value) for every sparse record in
-/// [data, data+size).
-template <typename T, typename Fn>
-void scatter_records(const std::byte* data, std::size_t size, Fn&& fn) {
-  std::size_t off = 0;
-  while (off + record_bytes<T>() <= size) {
-    std::uint32_t pos = 0;
-    T value;
-    std::memcpy(&pos, data + off, sizeof(pos));
-    std::memcpy(&value, data + off + sizeof(pos), sizeof(T));
-    fn(pos, value);
-    off += record_bytes<T>();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Adaptive formats
 // ---------------------------------------------------------------------------

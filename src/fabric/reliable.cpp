@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 // Layering note: the reliability channel never interprets payload bytes -
 // with one read-only exception. comm/message.hpp is a dependency-free,
@@ -47,34 +48,47 @@ std::uint32_t meta_crc(const MsgMeta& m, const void* payload) {
 /// without touching payload bytes again. The ChunkHeader's Fletcher
 /// self-check plus field constraints make a false positive on non-engine
 /// payloads (control tails, raw records) negligible; anything that fails the
-/// peek simply travels unstamped. MPI-probe aggregates length-prefix each
-/// framed record, so the first record is also tried at a 4-byte offset
-/// (later records of an aggregate are untraced - documented best-effort).
+/// peek simply travels unstamped. An MPI-probe aggregate length-prefixes
+/// each framed record; it carries one trace id, so the first traced record
+/// that has payload wins over header-only ones (clean single-chunk messages
+/// and tails never reach decode/apply, so a flow stamped with one of them
+/// could never show the full post -> ... -> apply path). The other records
+/// of an aggregate travel untraced below the engine (documented
+/// best-effort).
 void stamp_trace(MsgMeta& meta, const void* payload, std::size_t size) {
   if (meta.trace_id != 0) return;  // already stamped upstream
   if (payload == nullptr || !telemetry::enabled() ||
       telemetry::trace_sample_every() == 0)
     return;
   const auto* bytes = static_cast<const std::byte*>(payload);
-  comm::ChunkHeader h;
-  if (size >= comm::kChunkHeaderBytes) {
-    std::memcpy(&h, bytes, sizeof(h));
-    if (h.valid() && h.trace_id != 0) {
-      meta.trace_id = h.trace_id;
-      meta.trace_hop = h.trace_hop;
-      return;
+  const auto traced_at =
+      [&](std::size_t off) -> std::optional<comm::ChunkHeader> {
+    if (size - off < comm::kChunkHeaderBytes) return std::nullopt;
+    comm::ChunkHeader h;
+    std::memcpy(&h, bytes + off, sizeof(h));
+    if (!h.valid() || h.trace_id == 0) return std::nullopt;
+    return h;
+  };
+  std::optional<comm::ChunkHeader> pick = traced_at(0);
+  if (!pick) {
+    for (std::size_t off = 0; off + sizeof(std::uint32_t) <= size;) {
+      std::uint32_t rec = 0;
+      std::memcpy(&rec, bytes + off, sizeof(rec));
+      off += sizeof(rec);
+      if (rec < comm::kChunkHeaderBytes || rec > size - off) break;
+      if (const auto h = traced_at(off)) {
+        if (!pick) pick = h;
+        if (h->payload_bytes > 0) {
+          pick = h;
+          break;
+        }
+      }
+      off += rec;
     }
   }
-  if (size >= sizeof(std::uint32_t) + comm::kChunkHeaderBytes) {
-    std::uint32_t rec = 0;
-    std::memcpy(&rec, bytes, sizeof(rec));
-    if (rec >= comm::kChunkHeaderBytes && rec <= size - sizeof(rec)) {
-      std::memcpy(&h, bytes + sizeof(rec), sizeof(h));
-      if (h.valid() && h.trace_id != 0) {
-        meta.trace_id = h.trace_id;
-        meta.trace_hop = h.trace_hop;
-      }
-    }
+  if (pick) {
+    meta.trace_id = pick->trace_id;
+    meta.trace_hop = pick->trace_hop;
   }
 }
 

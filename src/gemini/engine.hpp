@@ -33,6 +33,7 @@
 
 #include "abelian/cluster.hpp"
 #include "apps/atomic_ops.hpp"
+#include "apps/round_loop.hpp"
 #include "comm/backend.hpp"
 #include "comm/message.hpp"
 #include "graph/dist_graph.hpp"
@@ -685,38 +686,12 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
         }
       };
 
-  std::int64_t round = 0;
-  std::int64_t resumed_at = -1;
-
-  // Recovery: reload master labels + active set from the last stable
-  // checkpoint and re-enter the round loop there (DESIGN.md §13).
-  if (rec != nullptr && rec->resume && rec->resume_round >= 0) {
-    std::vector<std::vector<std::uint8_t>> arrays;
-    if (rec->store->load(rec->host, rec->resume_round, arrays) &&
-        arrays.size() == 2 &&
-        arrays[0].size() == n_masters * sizeof(Label)) {
-      if (n_masters > 0)
-        std::memcpy(labels.data(), arrays[0].data(), arrays[0].size());
-      const auto* words =
-          reinterpret_cast<const std::uint64_t*>(arrays[1].data());
-      for (std::size_t wi = 0; wi < active.num_words(); ++wi)
-        active.set_word(wi, words[wi]);
-      round = rec->resume_round;
-      resumed_at = round;
-    }
-  }
-
-  for (;; ++round) {
-    // Round boundary: fire scheduled kills / abort on pending failure, then
-    // checkpoint every K rounds (labels + active set are quiescent here).
-    cluster_.round_tick(g_.host_id, round);
-    if (rec != nullptr && rec->interval > 0 && round % rec->interval == 0 &&
-        round != resumed_at) {
-      rec->store->save(rec->host, round,
-                       {{labels.data(), n_masters * sizeof(Label)},
-                        {static_cast<const void*>(active.words_data()),
-                         active.num_words() * sizeof(std::uint64_t)}});
-    }
+  // Checkpoint: master labels + active set (the dense scratch is reset at
+  // the end of every round).
+  apps::RoundLoop loop(cluster_, g_.host_id, stats_.compute_s, rec, "gemini");
+  loop.checkpoint(labels);
+  loop.checkpoint(active);
+  loop.run([&] {
     frontier.clear_all();
     active.for_each([&](std::size_t i) { frontier.set(i); });
     const std::size_t frontier_size = frontier.count_range(0, n_masters);
@@ -756,10 +731,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
       // Dense mode: pre-combine all candidates per destination locally,
       // then signal each destination once (Gemini's aggregated slot path).
       stats_.dense_rounds++;
-      rt::Timer combine_timer;
-      {
-        telemetry::Span compute_span("gemini", "compute",
-                                     static_cast<std::uint32_t>(g_.host_id));
+      loop.compute([&] {
         team_->parallel_chunks(
             0, n_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
               frontier.for_each_in_range(lo, hi, [&](std::size_t i) {
@@ -775,8 +747,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
                     });
               });
             });
-      }
-      stats_.compute_s += combine_timer.elapsed_s();
+      });
       // Direct-write fan-out (DESIGN.md §15): ship each peer's combined
       // frame as one one-sided put; peers it reached are skipped by the
       // streaming producers below (direct_skip_), the rest stream as usual.
@@ -807,10 +778,9 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
       touched.clear_all();
     }
 
-    const std::uint64_t global_active = cluster_.oob_allreduce_sum(
-        static_cast<std::uint64_t>(active.count()));
-    if (global_active == 0) break;
-  }
+    return cluster_.oob_allreduce_sum(
+               static_cast<std::uint64_t>(active.count())) != 0;
+  });
   return labels;
 }
 

@@ -611,7 +611,8 @@ TEST_P(TracedLossyRun, FlowShowsDropRetransmitDeliverApply) {
 
   const auto result = bench::run_app(g, spec);
   EXPECT_EQ(result.labels_u32, apps::reference_bfs(g, spec.source));
-  EXPECT_GT(result.rel_retransmits, 0u) << "lossy fabric never retransmitted";
+  EXPECT_GT(result.telemetry.at("rel.retransmits"), 0u)
+      << "lossy fabric never retransmitted";
 
   // Acceptance: at least one sampled message's stitched cross-host flow
   // shows the full post -> drop -> retransmit -> deliver -> apply life.

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/kcore.hpp"
 #include "apps/reference.hpp"
 #include "bench_support/runner.hpp"
 #include "comm/membership.hpp"
@@ -344,6 +345,51 @@ TEST_P(RecoveryFabric, GeminiPagerankKillRecoversExactly) {
   ASSERT_EQ(result.labels_f64.size(), expected.size());
   for (std::size_t v = 0; v < expected.size(); ++v)
     EXPECT_NEAR(result.labels_f64[v], expected[v], 1e-9) << "vertex " << v;
+  expect_recovered(result, /*rollback=*/4);
+}
+
+// k-core and delta-stepping SSSP carry more round state than labels + an
+// active set (degrees and the dead set; the bucket index), all of which the
+// round loop must checkpoint and restore for the resumed run to be exact.
+/// A 16-cycle with a 24-vertex tail and one pendant vertex hanging off it.
+/// Under k = 2 the tail peels one vertex per round while the cycle survives,
+/// so the kill lands mid-peel. The pendant dies in round 0; a resume that
+/// lost the dead set would remove it again and decrement its cycle
+/// neighbour twice, wrongly peeling the whole cycle.
+graph::Csr lollipop() {
+  constexpr graph::VertexId kCycle = 16;
+  constexpr graph::VertexId kTail = 24;
+  graph::EdgeList edges;
+  const auto link = [&](graph::VertexId a, graph::VertexId b) {
+    edges.emplace_back(a, b);
+    edges.emplace_back(b, a);
+  };
+  for (graph::VertexId v = 0; v < kCycle; ++v) link(v, (v + 1) % kCycle);
+  for (graph::VertexId v = 0; v < kTail; ++v)
+    link(v == 0 ? 0 : kCycle + v - 1, kCycle + v);
+  link(kCycle / 2, kCycle + kTail);  // the pendant
+  return graph::Csr::from_edges(kCycle + kTail + 1, edges);
+}
+
+TEST_P(RecoveryFabric, KcoreKillAtRoundRecoversExactly) {
+  graph::Csr g = lollipop();
+  bench::RunSpec spec = killed_spec(/*kill_round=*/5, /*interval=*/2);
+  spec.app = "kcore";
+  spec.kcore_k = 2;
+  const auto result = bench::run_app(g, spec);
+  EXPECT_EQ(result.labels_u32, apps::reference_kcore(g, 2));
+  expect_recovered(result, /*rollback=*/4);
+}
+
+TEST_P(RecoveryFabric, SsspDeltaKillAtRoundRecoversExactly) {
+  graph::GenOptions opt;
+  opt.make_weights = true;
+  graph::Csr g = graph::rmat(6, 8.0, opt);
+  bench::RunSpec spec = killed_spec(/*kill_round=*/5, /*interval=*/2);
+  spec.app = "sssp_delta";
+  spec.source = bench::choose_source(g);
+  const auto result = bench::run_app(g, spec);
+  EXPECT_EQ(result.labels_u32, apps::reference_sssp(g, spec.source));
   expect_recovered(result, /*rollback=*/4);
 }
 

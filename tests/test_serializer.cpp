@@ -1,5 +1,5 @@
-// Tests for gather/scatter record serialization and message framing,
-// including seeded property/fuzz round-trips (replay a failure with
+// Tests for sync-payload serialization and message framing, including
+// seeded property/fuzz round-trips (replay a failure with
 // LCR_STRESS_SEED=0x<seed>).
 #include <gtest/gtest.h>
 
@@ -21,82 +21,6 @@ TEST(Serializer, RecordSizes) {
   EXPECT_EQ(comm::record_bytes<std::uint32_t>(), 8u);
   EXPECT_EQ(comm::record_bytes<std::uint64_t>(), 12u);
   EXPECT_EQ(comm::record_bytes<double>(), 12u);
-}
-
-TEST(Serializer, RoundTripSingleRecord) {
-  std::vector<std::byte> buf;
-  comm::append_record<std::uint32_t>(buf, 7, 12345);
-  ASSERT_EQ(buf.size(), comm::record_bytes<std::uint32_t>());
-  int calls = 0;
-  comm::scatter_records<std::uint32_t>(
-      buf.data(), buf.size(), [&](std::uint32_t pos, std::uint32_t value) {
-        EXPECT_EQ(pos, 7u);
-        EXPECT_EQ(value, 12345u);
-        ++calls;
-      });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(Serializer, GatherOnlyDirtyEntries) {
-  // Shared list of 6 local ids; only 3 are dirty.
-  std::vector<graph::VertexId> shared{10, 11, 12, 13, 14, 15};
-  rt::ConcurrentBitset dirty(32);
-  dirty.set(11);
-  dirty.set(13);
-  dirty.set(15);
-  std::vector<std::uint32_t> labels(32, 0);
-  labels[11] = 111;
-  labels[13] = 113;
-  labels[15] = 115;
-
-  std::vector<std::byte> out;
-  const std::size_t count =
-      comm::gather_records<std::uint32_t>(shared, dirty, labels.data(), out);
-  EXPECT_EQ(count, 3u);
-  EXPECT_EQ(out.size(), 3 * comm::record_bytes<std::uint32_t>());
-
-  std::map<std::uint32_t, std::uint32_t> seen;
-  comm::scatter_records<std::uint32_t>(
-      out.data(), out.size(),
-      [&](std::uint32_t pos, std::uint32_t value) { seen[pos] = value; });
-  EXPECT_EQ(seen, (std::map<std::uint32_t, std::uint32_t>{
-                      {1, 111}, {3, 113}, {5, 115}}));
-}
-
-TEST(Serializer, GatherNothingWhenClean) {
-  std::vector<graph::VertexId> shared{0, 1, 2};
-  rt::ConcurrentBitset dirty(8);
-  std::vector<double> labels(8, 1.0);
-  std::vector<std::byte> out;
-  EXPECT_EQ(comm::gather_records<double>(shared, dirty, labels.data(), out),
-            0u);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(Serializer, DoubleValuesRoundTripExactly) {
-  std::vector<std::byte> buf;
-  comm::append_record<double>(buf, 0, 0.3333333333333333);
-  comm::append_record<double>(buf, 1, -1e300);
-  std::vector<double> got;
-  comm::scatter_records<double>(buf.data(), buf.size(),
-                                [&](std::uint32_t, double v) {
-                                  got.push_back(v);
-                                });
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 0.3333333333333333);
-  EXPECT_EQ(got[1], -1e300);
-}
-
-TEST(Serializer, ScatterIgnoresTrailingPartialRecord) {
-  std::vector<std::byte> buf;
-  comm::append_record<std::uint32_t>(buf, 1, 2);
-  buf.resize(buf.size() + 3);  // garbage tail smaller than one record
-  int calls = 0;
-  comm::scatter_records<std::uint32_t>(buf.data(), buf.size(),
-                                       [&](std::uint32_t, std::uint32_t) {
-                                         ++calls;
-                                       });
-  EXPECT_EQ(calls, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,157 +54,6 @@ T random_bits(rt::Rng& rng) {
   T value;
   std::memcpy(&value, &raw, sizeof(T));
   return value;
-}
-
-template <typename T>
-void roundtrip_random_records(rt::Rng& rng, std::size_t count) {
-  std::vector<std::uint32_t> positions;
-  std::vector<T> values;
-  std::vector<std::byte> buf;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto pos = static_cast<std::uint32_t>(rng());
-    const T value = random_bits<T>(rng);
-    positions.push_back(pos);
-    values.push_back(value);
-    comm::append_record<T>(buf, pos, value);
-  }
-  ASSERT_EQ(buf.size(), count * comm::record_bytes<T>());
-
-  std::size_t i = 0;
-  comm::scatter_records<T>(
-      buf.data(), buf.size(), [&](std::uint32_t pos, T value) {
-        ASSERT_LT(i, count);
-        EXPECT_EQ(pos, positions[i]);
-        EXPECT_EQ(std::memcmp(&value, &values[i], sizeof(T)), 0)
-            << "record " << i << " value bytes differ";
-        ++i;
-      });
-  EXPECT_EQ(i, count);
-
-  // Re-encoding the decoded stream must reproduce the buffer byte-for-byte.
-  std::vector<std::byte> again;
-  comm::scatter_records<T>(buf.data(), buf.size(),
-                           [&](std::uint32_t pos, T value) {
-                             comm::append_record<T>(again, pos, value);
-                           });
-  ASSERT_EQ(again.size(), buf.size());
-  EXPECT_EQ(std::memcmp(again.data(), buf.data(), buf.size()), 0);
-}
-
-TEST(SerializerProperty, RandomRecordsRoundTripBitExact) {
-  SCOPED_TRACE(fuzz_trace("RandomRecordsRoundTripBitExact"));
-  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x01));
-  for (int round = 0; round < 32; ++round) {
-    const std::size_t count = rng.below(512);
-    roundtrip_random_records<std::uint32_t>(rng, count);
-    roundtrip_random_records<std::uint64_t>(rng, count);
-    roundtrip_random_records<double>(rng, count);
-  }
-}
-
-/// Payload sizes straddling the LCI eager limit (16 KiB) and typical chunk
-/// boundaries: the serializer itself has no size limit, so a payload one
-/// record below, exactly at, and above the boundary must all decode
-/// identically. The boundary cases are where the comm layer switches between
-/// eager and rendezvous and where chunking splits a phase's payload.
-TEST(SerializerProperty, SizesStraddlingEagerLimitRoundTrip) {
-  SCOPED_TRACE(fuzz_trace("SizesStraddlingEagerLimit"));
-  constexpr std::size_t kEagerLimit = 16 * 1024;  // lci::Device eager_limit
-  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x02));
-  const std::size_t rec = comm::record_bytes<std::uint64_t>();
-  const std::size_t at_limit = kEagerLimit / rec;
-  for (std::size_t count :
-       {at_limit - 2, at_limit - 1, at_limit, at_limit + 1, at_limit + 2,
-        2 * at_limit, rng.below(3 * at_limit)}) {
-    roundtrip_random_records<std::uint64_t>(rng, count);
-  }
-}
-
-/// Chunk-splitting property: decoding a buffer chunk-by-chunk at any
-/// record-aligned split points yields exactly the same record stream as
-/// decoding it whole. This is the invariant the backends rely on when a
-/// phase's payload is fragmented into ChunkHeader-framed messages.
-TEST(SerializerProperty, RecordAlignedChunkingIsLossless) {
-  SCOPED_TRACE(fuzz_trace("RecordAlignedChunking"));
-  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x03));
-  const std::size_t rec = comm::record_bytes<double>();
-  for (int round = 0; round < 16; ++round) {
-    const std::size_t count = 1 + rng.below(2048);
-    std::vector<std::byte> buf;
-    for (std::size_t i = 0; i < count; ++i)
-      comm::append_record<double>(buf, static_cast<std::uint32_t>(i),
-                                  random_bits<double>(rng));
-
-    std::vector<std::pair<std::uint32_t, double>> whole;
-    comm::scatter_records<double>(buf.data(), buf.size(),
-                                  [&](std::uint32_t p, double v) {
-                                    whole.emplace_back(p, v);
-                                  });
-
-    // Random record-aligned split points (2..5 chunks).
-    std::vector<std::pair<std::uint32_t, double>> chunked;
-    std::size_t off = 0;
-    while (off < buf.size()) {
-      const std::size_t max_recs = (buf.size() - off) / rec;
-      const std::size_t take = 1 + rng.below(std::max<std::size_t>(
-                                       1, (max_recs + 1) / 2));
-      const std::size_t bytes = std::min(take * rec, buf.size() - off);
-      comm::scatter_records<double>(buf.data() + off, bytes,
-                                    [&](std::uint32_t p, double v) {
-                                      chunked.emplace_back(p, v);
-                                    });
-      off += bytes;
-    }
-    ASSERT_EQ(chunked.size(), whole.size());
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      EXPECT_EQ(chunked[i].first, whole[i].first);
-      EXPECT_EQ(std::memcmp(&chunked[i].second, &whole[i].second,
-                            sizeof(double)),
-                0);
-    }
-  }
-}
-
-/// Gather -> scatter is an exact inverse on the dirty subset: every dirty
-/// shared entry appears exactly once with its label bits intact, clean
-/// entries never travel. Random shared lists, dirty masks and label values.
-TEST(SerializerProperty, GatherScatterInverseOnRandomDirtySets) {
-  SCOPED_TRACE(fuzz_trace("GatherScatterInverse"));
-  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x04));
-  for (int round = 0; round < 24; ++round) {
-    const std::size_t local = 1 + rng.below(256);
-    const std::size_t shared_n = rng.below(local + 1);
-    std::vector<graph::VertexId> shared;
-    for (std::size_t i = 0; i < shared_n; ++i)
-      shared.push_back(static_cast<graph::VertexId>(rng.below(local)));
-    rt::ConcurrentBitset dirty(local);
-    std::vector<double> labels;
-    for (std::size_t i = 0; i < local; ++i) {
-      labels.push_back(random_bits<double>(rng));
-      if (rng.below(2) == 0) dirty.set(i);
-    }
-
-    std::vector<std::byte> out;
-    const std::size_t written =
-        comm::gather_records<double>(shared, dirty, labels.data(), out);
-
-    std::size_t expected = 0;
-    for (const graph::VertexId lid : shared)
-      if (dirty.test(lid)) ++expected;
-    EXPECT_EQ(written, expected);
-
-    std::size_t seen = 0;
-    comm::scatter_records<double>(
-        out.data(), out.size(), [&](std::uint32_t pos, double v) {
-          ASSERT_LT(pos, shared.size());
-          const graph::VertexId lid = shared[pos];
-          EXPECT_TRUE(dirty.test(lid)) << "clean entry travelled: pos " << pos;
-          EXPECT_EQ(std::memcmp(&v, &labels[lid], sizeof(double)), 0)
-              << "label bits mangled at pos " << pos;
-          ++seen;
-        });
-    EXPECT_EQ(seen, written);
-  }
 }
 
 TEST(Message, HeaderAccessors) {
@@ -349,6 +122,164 @@ EncodedFrame encode_frame(const std::vector<graph::VertexId>& shared,
     f.header.flags = comm::kFlagDenseFull;
   f.header.finalize();
   return f;
+}
+
+/// Encodes `n` entries with fully random label bits through the live
+/// encoder with the Sparse format forced (each entry dirty with probability
+/// 1/`every`), decodes the frame and demands every dirty entry back bit for
+/// bit. Re-encoding the decoded values must reproduce the payload byte for
+/// byte. Returns the frame for further slicing.
+template <typename T>
+EncodedFrame sparse_roundtrip(rt::Rng& rng, std::size_t n,
+                              std::uint64_t every) {
+  std::vector<graph::VertexId> shared(n);
+  rt::ConcurrentBitset dirty(n);
+  std::vector<T> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    shared[i] = static_cast<graph::VertexId>(i);
+    labels[i] = random_bits<T>(rng);
+    if (rng.below(every) == 0) dirty.set(i);
+  }
+  const auto span = static_cast<std::uint32_t>(n);
+  FormatOverrideGuard guard(comm::WireFormat::Sparse);
+  EncodedFrame f = encode_frame<T>(shared, dirty, labels.data(), 0, span);
+  EXPECT_EQ(f.payload.size(), f.enc.records * comm::record_bytes<T>());
+
+  std::vector<T> decoded(n);
+  std::size_t seen = 0;
+  EXPECT_TRUE(comm::decode_chunk<T>(
+      f.header, f.payload.data(), n, [&](std::uint32_t pos, const T& v) {
+        EXPECT_TRUE(dirty.test(pos)) << "clean entry travelled: pos " << pos;
+        EXPECT_EQ(std::memcmp(&v, &labels[pos], sizeof(T)), 0)
+            << "record " << pos << " value bytes differ";
+        decoded[pos] = v;
+        ++seen;
+      }));
+  EXPECT_EQ(seen, dirty.count());
+
+  const EncodedFrame again =
+      encode_frame<T>(shared, dirty, decoded.data(), 0, span);
+  EXPECT_EQ(again.payload, f.payload);
+  return f;
+}
+
+TEST(SerializerProperty, RandomRecordsRoundTripBitExact) {
+  SCOPED_TRACE(fuzz_trace("RandomRecordsRoundTripBitExact"));
+  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x01));
+  for (int round = 0; round < 32; ++round) {
+    const std::size_t n = rng.below(512);
+    sparse_roundtrip<std::uint32_t>(rng, n, 2);
+    sparse_roundtrip<std::uint64_t>(rng, n, 2);
+    sparse_roundtrip<double>(rng, n, 2);
+  }
+}
+
+/// Payload sizes straddling the LCI eager limit (16 KiB) and typical chunk
+/// boundaries: the serializer itself has no size limit, so a payload one
+/// record below, exactly at, and above the boundary must all decode
+/// identically. The boundary cases are where the comm layer switches between
+/// eager and rendezvous and where chunking splits a phase's payload.
+TEST(SerializerProperty, SizesStraddlingEagerLimitRoundTrip) {
+  SCOPED_TRACE(fuzz_trace("SizesStraddlingEagerLimit"));
+  constexpr std::size_t kEagerLimit = 16 * 1024;  // lci::Device eager_limit
+  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x02));
+  const std::size_t rec = comm::record_bytes<std::uint64_t>();
+  const std::size_t at_limit = kEagerLimit / rec;
+  for (std::size_t count :
+       {at_limit - 2, at_limit - 1, at_limit, at_limit + 1, at_limit + 2,
+        2 * at_limit, rng.below(3 * at_limit)}) {
+    const EncodedFrame f = sparse_roundtrip<std::uint64_t>(rng, count, 1);
+    EXPECT_EQ(f.payload.size(), count * rec);
+  }
+}
+
+/// Chunk-splitting property: decoding a Sparse payload piece by piece at any
+/// record-aligned split points yields exactly the same record stream as
+/// decoding it whole. This is the invariant the backends rely on when a
+/// phase's payload is fragmented into ChunkHeader-framed messages.
+TEST(SerializerProperty, RecordAlignedChunkingIsLossless) {
+  SCOPED_TRACE(fuzz_trace("RecordAlignedChunking"));
+  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x03));
+  const std::size_t rec = comm::record_bytes<double>();
+  for (int round = 0; round < 16; ++round) {
+    const std::size_t n = 1 + rng.below(2048);
+    const EncodedFrame f = sparse_roundtrip<double>(rng, n, 1);
+    const std::vector<std::byte>& buf = f.payload;
+
+    std::vector<std::pair<std::uint32_t, double>> whole;
+    ASSERT_TRUE(comm::decode_chunk<double>(
+        f.header, buf.data(), n,
+        [&](std::uint32_t p, const double& v) { whole.emplace_back(p, v); }));
+
+    // Random record-aligned split points (2..5 chunks).
+    std::vector<std::pair<std::uint32_t, double>> chunked;
+    std::size_t off = 0;
+    while (off < buf.size()) {
+      const std::size_t max_recs = (buf.size() - off) / rec;
+      const std::size_t take = 1 + rng.below(std::max<std::size_t>(
+                                       1, (max_recs + 1) / 2));
+      const std::size_t bytes = std::min(take * rec, buf.size() - off);
+      comm::ChunkHeader piece = f.header;
+      piece.payload_bytes = static_cast<std::uint32_t>(bytes);
+      piece.finalize();
+      ASSERT_TRUE(comm::decode_chunk<double>(
+          piece, buf.data() + off, n, [&](std::uint32_t p, const double& v) {
+            chunked.emplace_back(p, v);
+          }));
+      off += bytes;
+    }
+    ASSERT_EQ(chunked.size(), whole.size());
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      EXPECT_EQ(chunked[i].first, whole[i].first);
+      EXPECT_EQ(std::memcmp(&chunked[i].second, &whole[i].second,
+                            sizeof(double)),
+                0);
+    }
+  }
+}
+
+/// Encode -> decode is an exact inverse on the dirty subset of an arbitrary
+/// shared list (random local ids, repeats allowed): every dirty shared entry
+/// appears exactly once with its label bits intact, clean entries never
+/// travel. Random shared lists, dirty masks and label values, in whatever
+/// format the encoder picks.
+TEST(SerializerProperty, EncodeDecodeInverseOnRandomSharedLists) {
+  SCOPED_TRACE(fuzz_trace("EncodeDecodeInverse"));
+  rt::Rng rng(rt::hash64(fuzz_seed() ^ 0x04));
+  for (int round = 0; round < 24; ++round) {
+    const std::size_t local = 1 + rng.below(256);
+    const std::size_t shared_n = rng.below(local + 1);
+    std::vector<graph::VertexId> shared;
+    for (std::size_t i = 0; i < shared_n; ++i)
+      shared.push_back(static_cast<graph::VertexId>(rng.below(local)));
+    rt::ConcurrentBitset dirty(local);
+    std::vector<double> labels;
+    for (std::size_t i = 0; i < local; ++i) {
+      labels.push_back(random_bits<double>(rng));
+      if (rng.below(2) == 0) dirty.set(i);
+    }
+
+    const auto n = static_cast<std::uint32_t>(shared_n);
+    const EncodedFrame f = encode_frame<double>(shared, dirty, labels.data(),
+                                                0, n);
+    std::size_t expected = 0;
+    for (const graph::VertexId lid : shared)
+      if (dirty.test(lid)) ++expected;
+    EXPECT_EQ(f.enc.records, expected);
+
+    std::size_t seen = 0;
+    ASSERT_TRUE(comm::decode_chunk<double>(
+        f.header, f.payload.data(), shared.size(),
+        [&](std::uint32_t pos, const double& v) {
+          ASSERT_LT(pos, shared.size());
+          const graph::VertexId lid = shared[pos];
+          EXPECT_TRUE(dirty.test(lid)) << "clean entry travelled: pos " << pos;
+          EXPECT_EQ(std::memcmp(&v, &labels[lid], sizeof(double)), 0)
+              << "label bits mangled at pos " << pos;
+          ++seen;
+        }));
+    EXPECT_EQ(seen, expected);
+  }
 }
 
 TEST(WireFormat, ChooseFormatTracksDensity) {
