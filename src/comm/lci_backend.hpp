@@ -11,8 +11,8 @@
 #include <memory>
 
 #include "comm/backend.hpp"
-#include "lci/one_sided.hpp"
 #include "lci/queue.hpp"
+#include "lci/region_book.hpp"
 #include "lci/server.hpp"
 #include "runtime/spinlock.hpp"
 

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "comm/backend.hpp"
-#include "lci/one_sided.hpp"
+#include "lci/region_book.hpp"
 #include "mpilite/comm.hpp"
 #include "mpilite/rma.hpp"
 #include "runtime/spinlock.hpp"

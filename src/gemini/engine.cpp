@@ -19,115 +19,34 @@ const char* to_string(CommKind k) {
   return "?";
 }
 
-comm::BufferLease GeminiComm::acquire(int /*dst*/, std::size_t max_bytes) {
-  comm::BufferLease lease;
-  lease.heap.resize(max_bytes);
-  lease.data = lease.heap.data();
-  lease.capacity = max_bytes;
-  return lease;
-}
-
-bool GeminiComm::commit(int dst, comm::BufferLease& lease,
-                        std::size_t bytes) {
-  // Shrink-only; regrowing would value-initialize over serialized records.
-  if (lease.heap.size() != bytes) lease.heap.resize(bytes);
-  if (!try_send(dst, lease.heap)) return false;
-  lease = comm::BufferLease{};
-  return true;
-}
-
-void GeminiComm::abandon(comm::BufferLease& lease) {
-  lease = comm::BufferLease{};
-}
-
 namespace {
 
 constexpr int kTag = 11;
 
-/// LCI shim: wraps the Abelian LCI backend, which is already thread-safe
-/// send_enq/recv_deq over the Queue.
-class GeminiLciComm final : public GeminiComm {
- public:
-  GeminiLciComm(fabric::Fabric& fabric, int rank, rt::MemTracker* tracker,
-                std::size_t lanes, std::size_t servers) {
-    comm::BackendOptions opt;
-    opt.tracker = tracker;
-    opt.lci_lanes = lanes;
-    opt.lci_servers = servers;
-    backend_ = std::make_unique<comm::LciBackend>(fabric, rank, opt);
-  }
-  const char* name() const override { return "lci"; }
-  bool try_send(int dst, std::vector<std::byte>& payload) override {
-    return backend_->try_send(dst, payload);
-  }
-  comm::BufferLease acquire(int dst, std::size_t max_bytes) override {
-    return backend_->acquire(dst, max_bytes);
-  }
-  bool commit(int dst, comm::BufferLease& lease, std::size_t bytes) override {
-    return backend_->commit(dst, lease, bytes);
-  }
-  void abandon(comm::BufferLease& lease) override {
-    backend_->abandon(lease);
-  }
-  std::size_t preferred_chunk() const override {
-    return backend_->chunk_bytes();
-  }
-  bool try_recv(comm::InMessage& out) override {
-    if (backend_->try_recv(out)) return true;
-    // Nothing pending: lend this thread to the server for one progress
-    // step. On the paper's clusters the LCI server owns a core and this
-    // never helps; on this simulation's single-core hosts the polling
-    // thread would otherwise just spin waiting for the server to be
-    // scheduled. Queue::progress is thread-safe here.
-    backend_->progress();
-    return backend_->try_recv(out);
-  }
-  void progress() override { backend_->progress(); }
-
-  // Direct-write (DESIGN.md §15): delegate to the wrapped backend's
-  // registered-region put path. LciBackend is thread-safe throughout.
-  bool supports_direct_write() const override {
-    return backend_->supports_direct_write();
-  }
-  comm::DirectRegion register_direct_region(int src, std::byte* base,
-                                            std::size_t bytes,
-                                            std::uint32_t gen) override {
-    return backend_->register_direct_region(src, base, bytes, gen);
-  }
-  void release_direct_region(int src,
-                             const comm::DirectRegion& region) override {
-    backend_->release_direct_region(src, region);
-  }
-  comm::DirectPutStatus direct_put(int dst, const comm::DirectRegion& r,
-                                   const void* payload, std::size_t bytes,
-                                   std::uint32_t phase_id,
-                                   std::uint32_t pattern_key) override {
-    return backend_->direct_put(dst, r, payload, bytes, phase_id,
-                                pattern_key);
-  }
-  bool poll_direct(comm::DirectSignal& out) override {
-    return backend_->poll_direct(out);
-  }
-
- private:
-  std::unique_ptr<comm::LciBackend> backend_;
-};
-
 /// MPI shim under MPI_THREAD_MULTIPLE: every compute thread isends its own
 /// chunks and probes with wildcards; probe+recv pairs are serialized by a
 /// lock (the race real codes avoid by funnelling receives into one thread).
-class GeminiMpiComm final : public GeminiComm {
+/// Gemini never opens a phase and has no one-sided primitive here (no
+/// funnel point to emulate a NIC at), so the phase hooks are no-ops and
+/// direct writes keep the base class's unsupported defaults.
+class MpiMultipleBackend final : public comm::Backend {
  public:
-  GeminiMpiComm(fabric::Fabric& fabric, int rank,
-                const std::string& personality, rt::MemTracker* tracker,
-                std::size_t num_threads)
-      : comm_(fabric, rank, personality_by_name(personality),
+  MpiMultipleBackend(fabric::Fabric& fabric, int rank,
+                     const std::string& personality, rt::MemTracker* tracker,
+                     std::size_t num_threads)
+      : comm_(fabric, rank, mpi::personality_by_name(personality),
               mpi::ThreadLevel::Multiple,
               mpi::CommConfig{fabric.config().default_rx_buffers, nullptr,
                               /*declared_concurrency=*/num_threads + 1}),
         tracker_(tracker) {}
 
   const char* name() const override { return "mpi-probe"; }
+  bool thread_safe_send() const override { return true; }
+  bool thread_safe_recv() const override { return true; }
+  std::size_t chunk_bytes() const override { return 0; }
+  void begin_phase(const comm::PhaseSpec&) override {}
+  void flush() override {}
+  void end_phase() override {}
 
   bool try_send(int dst, std::vector<std::byte>& payload) override {
     mpi::Request req = comm_.isend(payload.data(), payload.size(), dst, kTag);
@@ -175,13 +94,6 @@ class GeminiMpiComm final : public GeminiComm {
     mpi::Request req;
   };
 
-  static mpi::Personality personality_by_name(const std::string& name) {
-    if (name == "intelmpi") return mpi::intelmpi_like();
-    if (name == "mvapich") return mpi::mvapich_like();
-    if (name == "openmpi") return mpi::openmpi_like();
-    return mpi::default_personality();
-  }
-
   void reap() {
     std::unique_lock<rt::Spinlock> guard(out_lock_, std::try_to_lock);
     if (!guard.owns_lock()) return;
@@ -209,16 +121,19 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
   assert(g.policy == graph::PartitionPolicy::BlockedEdgeCut &&
          "Gemini requires a blocked edge-cut partition");
   switch (cfg_.comm) {
-    case CommKind::Lci:
-      // Per-compute-thread injection lanes by default: every compute thread
-      // injects on the gemini produce path (send_with_backpressure).
-      comm_ = std::make_unique<GeminiLciComm>(
-          cluster.fabric(), g.host_id, cfg_.tracker,
-          cfg_.lci_lanes != 0 ? cfg_.lci_lanes : cfg_.compute_threads,
-          cfg_.lci_servers);
+    case CommKind::Lci: {
+      // One injection lane per compute thread: every compute thread injects
+      // on the gemini produce path (send_with_backpressure).
+      comm::BackendOptions opt;
+      opt.tracker = cfg_.tracker;
+      opt.lci_lanes = cfg_.compute_threads;
+      opt.lci_servers = cfg_.lci_servers;
+      comm_ = std::make_unique<comm::LciBackend>(cluster.fabric(), g.host_id,
+                                                 opt);
       break;
+    }
     case CommKind::MpiProbeMulti:
-      comm_ = std::make_unique<GeminiMpiComm>(
+      comm_ = std::make_unique<MpiMultipleBackend>(
           cluster.fabric(), g.host_id, cfg_.mpi_personality, cfg_.tracker,
           cfg_.compute_threads);
       break;
@@ -285,7 +200,7 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
 GeminiHost::~GeminiHost() {
   stop_.store(true, std::memory_order_release);
   if (server_thread_.joinable()) server_thread_.join();
-  // Retract published regions before tearing down the comm shim: once the
+  // Retract published regions before tearing down the comm backend: once the
   // directory entry is gone peers fall back to streaming, and a straggler
   // put built against the old registration dies on the generation check of
   // whatever occupies the region's token next (generations never repeat).
@@ -305,13 +220,13 @@ GeminiHost::~GeminiHost() {
     delete *m;
   }
   // Next-round chunks stashed when a round aborted still hold live comm
-  // resources; release them before the comm shim goes away.
+  // resources; release them before the comm backend goes away.
   for (auto& m : stash_)
     if (m.release) m.release();
   stash_.clear();
-  // The comm shim must quiesce before the region buffers are freed: a
+  // The comm backend must quiesce before the region buffers are freed: a
   // retransmitted put already materialized in the endpoint's CQ still
-  // references region memory until the shim's final pump, and comm_ is
+  // references region memory until the backend's final pump, and comm_ is
   // declared before direct_homes_ so default member order would free the
   // buffers first.
   comm_.reset();

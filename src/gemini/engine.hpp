@@ -10,12 +10,13 @@
 // on communication from many threads with MPI_THREAD_MULTIPLE ... In
 // particular, MPI_PROBE is used frequently inside a receiving thread to
 // receive incoming messages (traversing nodes from different hosts and with
-// different sizes)". The two comm shims reproduce exactly that contrast:
+// different sizes)". The engine drives one comm::Backend from every compute
+// thread, and the two CommKinds reproduce exactly that contrast:
 //
-//   * GeminiMpiComm  - mpilite under THREAD_MULTIPLE: every compute thread
-//     isends its own buffers (paying the global lock) and probes/receives
-//     with wildcards (paying matching-queue traversal).
-//   * GeminiLciComm  - "simple modifications ... such that each
+//   * MpiProbeMulti - a THREAD_MULTIPLE mpilite shim private to engine.cpp:
+//     every compute thread isends its own buffers (paying the global lock)
+//     and probes/receives with wildcards (paying matching-queue traversal).
+//   * Lci - comm::LciBackend, "simple modifications ... such that each
 //     sending/receiving thread uses LCI Queue instead of MPI": send_enq /
 //     recv_deq from every thread, one LCI server thread for progress.
 #pragma once
@@ -68,8 +69,6 @@ struct GeminiConfig {
   /// destination, instead of one signal per edge (Gemini's sparse/dense
   /// signal-slot adaptivity). Set > 1.0 to force sparse, 0.0 to force dense.
   double dense_threshold = 0.05;
-  /// LCI injection lanes for the produce path; 0 = one per compute thread.
-  std::size_t lci_lanes = 0;
   /// Dedicated LCI progress servers (in addition to the host's own server
   /// thread, which always assists); 0 = none.
   std::size_t lci_servers = 0;
@@ -106,52 +105,6 @@ struct GeminiStats {
 /// a single well-known key per (target, source) pair suffices. Distinct from
 /// abelian's per-phase-spec keys, which share the same cluster directory.
 inline constexpr std::uint32_t kGeminiPatternKey = 0x47454D31u;  // "GEM1"
-
-/// Internal comm shim; see file comment.
-class GeminiComm {
- public:
-  virtual ~GeminiComm() = default;
-  virtual const char* name() const = 0;
-  /// Thread-safe; false = resources exhausted, retry after receiving.
-  virtual bool try_send(int dst, std::vector<std::byte>& payload) = 0;
-  /// Buffer-lease path (see comm::Backend): producers serialize signal
-  /// records straight into leased wire memory. Defaults funnel a heap
-  /// buffer through try_send; the LCI shim leases pool packets (zero-copy).
-  virtual comm::BufferLease acquire(int dst, std::size_t max_bytes);
-  virtual bool commit(int dst, comm::BufferLease& lease, std::size_t bytes);
-  virtual void abandon(comm::BufferLease& lease);
-  /// Preferred chunk size for leased sends (0 = no preference); batches are
-  /// capped to this so LCI chunks stay within one eager packet.
-  virtual std::size_t preferred_chunk() const { return 0; }
-  /// Thread-safe receive of any arrived chunk.
-  virtual bool try_recv(comm::InMessage& out) = 0;
-  /// Dedicated progress loop body (LCI server); MPI progresses inside calls.
-  virtual void progress() = 0;
-
-  /// Direct-write hooks (DESIGN.md §15). Defaults are inert: the THREAD_
-  /// MULTIPLE MPI shim has no one-sided primitive (every thread owns its own
-  /// sends, there is no funnel point to emulate a NIC at), so it always
-  /// streams two-sided and these report unsupported. The LCI shim delegates
-  /// to the wrapped backend's registered-region put path.
-  virtual bool supports_direct_write() const { return false; }
-  virtual comm::DirectRegion register_direct_region(int /*src*/,
-                                                    std::byte* /*base*/,
-                                                    std::size_t /*bytes*/,
-                                                    std::uint32_t /*gen*/) {
-    return comm::DirectRegion{};
-  }
-  virtual void release_direct_region(int /*src*/,
-                                     const comm::DirectRegion& /*region*/) {}
-  virtual comm::DirectPutStatus direct_put(int /*dst*/,
-                                           const comm::DirectRegion& /*r*/,
-                                           const void* /*payload*/,
-                                           std::size_t /*bytes*/,
-                                           std::uint32_t /*phase_id*/,
-                                           std::uint32_t /*pattern_key*/) {
-    return comm::DirectPutStatus::Unavailable;
-  }
-  virtual bool poll_direct(comm::DirectSignal& /*out*/) { return false; }
-};
 
 class GeminiHost {
  public:
@@ -247,7 +200,7 @@ class GeminiHost {
   abelian::Cluster& cluster_;
   const graph::DistGraph& g_;
   GeminiConfig cfg_;
-  std::unique_ptr<GeminiComm> comm_;
+  std::unique_ptr<comm::Backend> comm_;
   std::unique_ptr<rt::ThreadTeam> team_;
 
   rt::AuxThread server_thread_;
@@ -258,7 +211,7 @@ class GeminiHost {
   rt::Spinlock stash_lock_;
   std::deque<comm::InMessage> stash_;  // next-round chunks
 
-  /// Parallel-drain handoff: the thread that pops a chunk off the comm shim
+  /// Parallel-drain handoff: the thread that pops a chunk off comm_
   /// publishes it here so any compute thread can decode/apply it, instead of
   /// serializing decode behind the receiver (DESIGN.md §12). Entries are
   /// heap-owned; the applier deletes after settling.
@@ -268,7 +221,7 @@ class GeminiHost {
   std::vector<std::unique_ptr<std::atomic<std::uint32_t>>> chunks_sent_;
 
   /// Receive-side direct-write region for one source peer: engine-owned
-  /// buffer registered with the comm shim and published in the cluster
+  /// buffer registered with the comm backend and published in the cluster
   /// directory under kGeminiPatternKey.
   struct DirectHome {
     std::unique_ptr<std::byte[]> buf;
@@ -449,6 +402,16 @@ bool GeminiHost::drain_one_typed(
     }
   }
   if (!have) have = comm_->try_recv(msg);
+  if (!have && cfg_.comm == CommKind::Lci) {
+    // Nothing pending: lend this thread to the LCI server for one progress
+    // step (Queue::progress is thread-safe) and look again. On the paper's
+    // clusters the server owns a core and this never helps; here the
+    // polling thread would otherwise spin waiting for the server to be
+    // scheduled. Not on MPI, where it would add a second global-lock
+    // iprobe to every empty poll.
+    comm_->progress();
+    have = comm_->try_recv(msg);
+  }
   if (!have) return false;
 
   if (msg.header().phase_id != round_.round_id) {
@@ -477,9 +440,9 @@ void GeminiHost::stream_round(
   for (auto& c : chunks_sent_) c->store(0, std::memory_order_relaxed);
 
   constexpr std::size_t rec = sizeof(graph::VertexId) + sizeof(T);
-  // Cap batches at the comm's preferred chunk so leased LCI chunks fit one
-  // eager packet and stay zero-copy end to end.
-  const std::size_t pref = comm_->preferred_chunk();
+  // Cap batches at the backend's chunk size (0 = no preference) so leased
+  // LCI chunks fit one eager packet and stay zero-copy end to end.
+  const std::size_t pref = comm_->chunk_bytes();
   std::size_t batch = std::max<std::size_t>(rec, cfg_.batch_bytes);
   if (pref > comm::kChunkHeaderBytes + rec)
     batch = std::min(batch, pref - comm::kChunkHeaderBytes);
@@ -681,9 +644,9 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
   std::function<void(graph::VertexId, const Label&)> apply =
       [&](graph::VertexId gid, const Label& value) {
         const std::size_t i = gid - mlo;
-        if (value < labels[i] && apps::atomic_min(labels[i], value)) {
-          if (g_.out_edges.degree(i) > 0) active.set(i);
-        }
+        if (apps::atomic_min(labels[i], value) &&
+            g_.out_edges.degree(i) > 0)
+          active.set(i);
       };
 
   // Checkpoint: master labels + active set (the dense scratch is reset at
@@ -715,7 +678,9 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
               if (lo >= n_masters) break;
               const std::size_t hi = std::min(n_masters, lo + kGrain);
               frontier.for_each_in_range(lo, hi, [&](std::size_t i) {
-                const Label src_label = labels[i];
+                // Drain threads may atomic_min this label concurrently.
+                const Label src_label = std::atomic_ref<Label>(labels[i]).load(
+                    std::memory_order_relaxed);
                 g_.out_edges.for_each_edge(
                     static_cast<graph::VertexId>(i),
                     [&](graph::VertexId dst_lid, graph::Weight w) {
@@ -741,8 +706,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
                     [&](graph::VertexId dst_lid, graph::Weight w) {
                       const Label cand = Traits::relax(src_label, w);
                       if (cand == Traits::kInf) return;
-                      if (cand < combined[dst_lid] &&
-                          apps::atomic_min(combined[dst_lid], cand))
+                      if (apps::atomic_min(combined[dst_lid], cand))
                         touched.set(dst_lid);
                     });
               });

@@ -66,7 +66,7 @@ class Device {
                             std::uint64_t imm);
 
   /// General RDMA write: arbitrary offset, optional notification, caller
-  /// supplied metadata (used by the one-sided interface).
+  /// supplied metadata (used by the direct-write put, DESIGN.md §15).
   fabric::PostResult lc_put_ex(fabric::Rank dst, fabric::RKey rkey,
                                std::size_t offset, const void* payload,
                                std::size_t size, bool notify,

@@ -32,7 +32,7 @@ enum class PacketType : std::uint8_t {
   RTS = 2,     ///< ready-to-send (rendezvous request)
   RTR = 3,     ///< ready-to-receive (rendezvous reply with target address)
   RDMA = 4,    ///< completion notification of an lc_put
-  SIGNAL = 5,  ///< one-sided put-with-signal notification (one_sided.hpp)
+  SIGNAL = 5,  ///< one-sided put-with-signal notification (direct write)
 };
 
 struct Request;

@@ -43,4 +43,11 @@ Personality openmpi_like() {
   return p;
 }
 
+Personality personality_by_name(const std::string& name) {
+  if (name == "intelmpi") return intelmpi_like();
+  if (name == "mvapich") return mvapich_like();
+  if (name == "openmpi") return openmpi_like();
+  return default_personality();
+}
+
 }  // namespace lcr::mpi

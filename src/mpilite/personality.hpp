@@ -67,4 +67,8 @@ Personality mvapich_like();
 /// OpenMPI-like: balanced but higher per-call overhead and lock cost.
 Personality openmpi_like();
 
+/// Looks a personality up by name ("intelmpi", "mvapich", "openmpi");
+/// any other name gives default_personality().
+Personality personality_by_name(const std::string& name);
+
 }  // namespace lcr::mpi

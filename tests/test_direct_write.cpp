@@ -36,7 +36,7 @@
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "lci/completion.hpp"
-#include "lci/one_sided.hpp"
+#include "lci/region_book.hpp"
 
 namespace lcr {
 namespace {

@@ -1,4 +1,4 @@
-// End-to-end correctness of the Gemini engine with both comm shims.
+// End-to-end correctness of the Gemini engine with both comm backends.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,6 +11,7 @@
 #include "gemini/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/mem_tracker.hpp"
 
 namespace lcr {
 namespace {
@@ -146,6 +147,44 @@ TEST(GeminiExtra, DenseModeReducesTraffic) {
     (dense ? bytes_dense : bytes_sparse) = total.load();
   }
   EXPECT_LT(bytes_dense, bytes_sparse);
+}
+
+/// Comm-buffer accounting (the benchmark's comm_mem_kb): every byte a host's
+/// tracker saw allocated - send chunks, received chunks, direct-write
+/// regions - is freed again once the host is destroyed, on both backends
+/// and in both signal modes.
+TEST(GeminiExtra, CommBufferTrackerBalances) {
+  graph::Csr g = graph::kron(8, 16.0);
+  auto parts =
+      graph::partition(g, 3, graph::PartitionPolicy::BlockedEdgeCut);
+  const graph::VertexId source = bench::choose_source(g);
+  for (gemini::CommKind kind :
+       {gemini::CommKind::Lci, gemini::CommKind::MpiProbeMulti}) {
+    for (double threshold : {2.0 /*always sparse*/, 0.0 /*always dense*/}) {
+      SCOPED_TRACE(std::string(gemini::to_string(kind)) + " threshold " +
+                   std::to_string(threshold));
+      abelian::Cluster cluster(3, fabric::test_config());
+      std::vector<rt::MemTracker> trackers(3);
+      cluster.run([&](int h) {
+        gemini::GeminiConfig cfg;
+        cfg.comm = kind;
+        cfg.dense_threshold = threshold;
+        cfg.tracker = &trackers[static_cast<std::size_t>(h)];
+        {
+          gemini::GeminiHost host(cluster,
+                                  parts[static_cast<std::size_t>(h)], cfg);
+          host.run_push<apps::BfsTraits>(source);
+          host.run_pagerank(0.85, 5, 0.0);
+          cluster.oob_barrier();
+        }
+        cluster.oob_barrier();
+      });
+      for (std::size_t h = 0; h < trackers.size(); ++h) {
+        EXPECT_EQ(trackers[h].current(), 0u) << "host " << h;
+        EXPECT_GT(trackers[h].peak(), 0u) << "host " << h;
+      }
+    }
+  }
 }
 
 TEST(GeminiExtra, StatsArePopulated) {
