@@ -20,7 +20,14 @@
 //    on producers" the paper describes in Section III-B.
 //  * Progress: happens only inside mpilite calls (isend/irecv/iprobe/test),
 //    i.e. "an expensive network poll" per MPI_TEST.
-//  * THREAD_MULTIPLE: a single global lock serializes every call.
+//  * THREAD_MULTIPLE: a single global lock serializes every call. It is an
+//    rt::Spinlock, not a std::mutex: the progress engine takes the
+//    reliability channel's and the endpoint's spinlocks (and RMA spins with
+//    rt::Backoff) inside it, and on a ULT fiber a contended spin yields, so
+//    the lock can be held across a yield. Its waiters must then yield too;
+//    a blocking mutex would stall the OS worker the holder is queued
+//    behind, and a holder resumed on another worker would unlock a mutex
+//    that thread never locked (DESIGN.md §16).
 #pragma once
 
 #include <atomic>
@@ -30,7 +37,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,6 +46,7 @@
 #include "mpilite/personality.hpp"
 #include "mpilite/types.hpp"
 #include "runtime/mem_tracker.hpp"
+#include "runtime/spinlock.hpp"
 
 namespace lcr::mpi {
 
@@ -244,7 +251,7 @@ class Comm {
   std::size_t eager_limit_;
   fabric::ReliableChannel channel_;
 
-  std::mutex lock_;  // global lock under ThreadLevel::Multiple
+  rt::Spinlock lock_;  // global lock under ThreadLevel::Multiple
 
   // Internal receive buffers (slab + slot bookkeeping).
   std::unique_ptr<std::byte[]> rx_slab_;

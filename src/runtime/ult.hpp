@@ -27,10 +27,14 @@
 //     (telemetry trace rings, serializer scratch, LCI lane bindings) by
 //     simulated-host identity instead of OS-thread identity.
 //
-// Locking rule (DESIGN.md §16): never yield or park while holding a lock.
-// Critical sections in this repo are short and yield-free; a fiber that
-// suspended while holding a lock could deadlock every fiber multiplexed onto
-// the same worker.
+// Locking rule (DESIGN.md §16): a contended rt::Spinlock::lock() yields the
+// fiber, so a lock whose critical section takes another lock or spins can be
+// held across a yield. Its waiters must yield too (rt::Spinlock), never
+// block (std::mutex): a blocked waiter stalls the OS worker whose FIFO holds
+// the yielded holder, and a holder resumed on another worker would unlock a
+// std::mutex from a thread that never locked it. A std::mutex is fine only
+// around a critical section that takes no other lock and never spins. Never
+// park() while holding any lock.
 //
 // The context switch is a hand-rolled x86-64 System V switch (callee-saved
 // GPRs + mxcsr/x87 control word + rsp). ASan fiber annotations

@@ -3,8 +3,9 @@
 // (DESIGN.md §16).
 //
 //   * Exactness matrix: bfs/cc/pagerank x 3 backends x {os-threads@8,
-//     ult@64} against the sequential references — scheduling hosts as
-//     fibers must not change a single label.
+//     ult@64 with the default worker pool and with 1, 2 and 4 workers}
+//     against the sequential references — scheduling hosts as fibers must
+//     not change a single label at any worker count.
 //   * Kill-during-allreduce at 64 hosts: every survivor unwinds with
 //     PeerFailedError, recovery resets the torn trees, and the same tree
 //     objects complete collectives afterwards.
@@ -14,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "abelian/cluster.hpp"
 #include "apps/reference.hpp"
@@ -25,6 +28,7 @@
 #include "fabric/config.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "runtime/cpu_relax.hpp"
 
 namespace lcr {
 namespace {
@@ -48,6 +52,7 @@ struct ScaleCase {
   comm::BackendKind backend;
   const char* sched;  // "os" | "ult"
   int hosts;
+  std::size_t ult_workers = 0;  // 0 = the scheduler's default pool size
 };
 
 std::string scale_case_name(const ::testing::TestParamInfo<ScaleCase>& info) {
@@ -59,6 +64,7 @@ std::string scale_case_name(const ::testing::TestParamInfo<ScaleCase>& info) {
     case comm::BackendKind::MpiRma: os << "rma"; break;
   }
   os << "_" << info.param.sched << "_h" << info.param.hosts;
+  if (info.param.ult_workers != 0) os << "_w" << info.param.ult_workers;
   return os.str();
 }
 
@@ -75,6 +81,7 @@ TEST_P(HostScaleExactness, MatchesSequentialReference) {
   spec.hosts = c.hosts;
   spec.threads = 1;  // per-host compute; host-count is the scaled axis here
   spec.host_sched = c.sched;
+  spec.ult_workers = c.ult_workers;
   spec.source = bench::choose_source(g);
   spec.pagerank_iters = 10;
 
@@ -106,10 +113,15 @@ std::vector<ScaleCase> make_scale_cases() {
   const comm::BackendKind backends[] = {comm::BackendKind::Lci,
                                         comm::BackendKind::MpiProbe,
                                         comm::BackendKind::MpiRma};
+  // Worker-count axis: the default pool (min(hardware threads, hosts)) plus
+  // pinned 1, 2 and 4 workers, so the multi-worker configurations run even
+  // on boxes with fewer cores than that.
   for (const char* app : apps)
     for (auto backend : backends) {
       cases.push_back({app, backend, "os", 8});
       cases.push_back({app, backend, "ult", 64});
+      for (std::size_t workers : {1, 2, 4})
+        cases.push_back({app, backend, "ult", 64, workers});
     }
   return cases;
 }
@@ -137,16 +149,26 @@ TEST_P(HostScaleFailure, KillDuringAllreduceUnwindsAndTreesReset) {
   std::atomic<int> aborted{0};
   std::atomic<int> completed{0};
   std::atomic<int> post_ok{0};
+  std::atomic<int> healthy_done{0};
   cluster.run([&](int h) {
     // Healthy rounds first: the trees work at this scale before the kill.
     for (int r = 0; r < 3; ++r)
       EXPECT_EQ(cluster.oob_allreduce_sum(std::uint64_t{1}),
                 static_cast<std::uint64_t>(kHosts));
+    healthy_done.fetch_add(1);
     try {
       // The victim dies right before contributing; no participant can
       // finish the op without the victim's subtree, so every survivor
-      // blocks in a wave until the abort predicate fires.
-      if (h == kVictim) cluster.fabric().kill_now(kVictim);
+      // blocks in a wave until the abort predicate fires. The victim leaves
+      // the last healthy round as soon as its own parent releases it, while
+      // hosts elsewhere in the tree may still wait for theirs; a kill then
+      // would abort those hosts inside a healthy round (every tree wait
+      // checks for a pending failure), so it first waits for all of them.
+      if (h == kVictim) {
+        rt::Backoff backoff;
+        while (healthy_done.load() < kHosts) backoff.pause();
+        cluster.fabric().kill_now(kVictim);
+      }
       (void)cluster.oob_allreduce_sum(static_cast<std::uint64_t>(h) + 1);
       completed.fetch_add(1);
     } catch (const comm::PeerFailedError&) {
