@@ -5,6 +5,7 @@
 
 #include "abelian/sync.hpp"
 #include "apps/atomic_ops.hpp"
+#include "apps/pagerank_gather.hpp"
 #include "apps/round_loop.hpp"
 #include "runtime/spinlock.hpp"
 
@@ -17,34 +18,21 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
   const double n_global = static_cast<double>(g.global_nodes);
 
   std::vector<double> rank(n_local, 1.0 / n_global);
+  std::vector<double> contrib(n_local, 0.0);
   std::vector<double> accum(n_local, 0.0);
   rt::ConcurrentBitset dirty(n_local);
   rt::ConcurrentBitset rank_dirty(n_local);
 
   const abelian::SyncPlan plan = abelian::plan_accumulate(g.policy);
 
-  // The per-iteration transients (accum, dirty sets) are rebuilt every
-  // round, so the checkpoint is just the rank vector.
+  // The per-iteration transients (contrib, accum, dirty sets) are rebuilt
+  // every round, so the checkpoint is just the rank vector.
   RoundLoop loop(eng.cluster(), g.host_id, eng.stats().compute_s, rec);
   loop.checkpoint(rank);
   loop.run(opt.max_iterations, [&] {
-    // --- Computation: scatter contributions along local out-edges ---
-    loop.compute([&] {
-      eng.team().parallel_chunks(
-          0, n_local, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t lid = lo; lid < hi; ++lid) {
-              const std::uint32_t outdeg = g.global_out_degree[lid];
-              if (outdeg == 0 || g.out_edges.degree(lid) == 0) continue;
-              const double contrib = rank[lid] / static_cast<double>(outdeg);
-              g.out_edges.for_each_edge(
-                  static_cast<graph::VertexId>(lid),
-                  [&](graph::VertexId dst, graph::Weight) {
-                    atomic_add(accum[dst], contrib);
-                    dirty.set(dst);
-                  });
-            }
-          });
-    });
+    // --- Computation: pull contributions along local in-edges ---
+    loop.compute(
+        [&] { pagerank_gather(eng.team(), g, rank, contrib, accum, dirty); });
 
     // --- Reduce: Add dirty accumulator mirrors into masters (skipped when
     // the partition guarantees contributions land on masters, e.g. the
@@ -85,14 +73,8 @@ std::vector<double> run_pagerank(abelian::HostEngine& eng,
                                  [](graph::VertexId) {});
     }
 
-    // --- Reset round state ---
+    // --- Reset round state (the gather overwrites every accum slot) ---
     loop.compute([&] {
-      eng.team().parallel_chunks(0, n_local,
-                                 [&](std::size_t lo, std::size_t hi,
-                                     std::size_t) {
-                                   for (std::size_t lid = lo; lid < hi; ++lid)
-                                     accum[lid] = 0.0;
-                                 });
       dirty.clear_all();
       rank_dirty.clear_all();
     });

@@ -1,11 +1,13 @@
-// PageRank on the Abelian engine (accumulate-reduce-recompute-broadcast).
+// PageRank on the Abelian engine (gather-reduce-recompute-broadcast).
 //
-// Topology-driven rounds: every local vertex with out-edges contributes
-// rank/out_degree to its out-neighbors' accumulators (local atomic adds);
-// dirty accumulator mirrors are Add-reduced to their masters; masters
-// recompute rank = (1-d)/n + d * accum; under vertex cuts the new ranks are
-// broadcast back to mirrors (partition-aware sync). This is the app with the
-// most communication rounds, where the paper sees LCI's largest wins.
+// Topology-driven rounds: every local vertex publishes
+// contrib = rank/out_degree, and every local destination pulls the sum of
+// its in-neighbours' contribs over the in-edge transpose (one writer per
+// slot, no atomics, a fixed summation order); dirty accumulator mirrors are
+// Add-reduced to their masters; masters recompute
+// rank = (1-d)/n + d * accum; under vertex cuts the new ranks are broadcast
+// back to mirrors (partition-aware sync). This is the app with the most
+// communication rounds, where the paper sees LCI's largest wins.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 
+#include "apps/pagerank_gather.hpp"
 #include "comm/lci_backend.hpp"
 #include "mpilite/comm.hpp"
 #include "mpilite/personality.hpp"
@@ -311,6 +312,8 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
   // Per-destination partial sums: pagerank is topology-driven (dense every
   // round), so contributions are always combined locally and each
   // destination is signalled once per round (Gemini's aggregated slot).
+  // Only masters have out-edges, so mirrors' contrib stays 0.
+  std::vector<double> contrib(n_local, 0.0);
   std::vector<double> partial(n_local, 0.0);
   rt::ConcurrentBitset touched(n_local);
 
@@ -319,26 +322,13 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
         apps::atomic_add(accum[gid - mlo], value);
       };
 
-  // Per-iteration transients (accum, partial, touched) are rebuilt every
-  // round, so the checkpoint is just the master rank vector.
+  // Per-iteration transients (contrib, accum, partial, touched) are rebuilt
+  // every round, so the checkpoint is just the master rank vector.
   apps::RoundLoop loop(cluster_, g_.host_id, stats_.compute_s, rec, "gemini");
   loop.checkpoint(rank);
   loop.run(max_iterations, [&] {
     loop.compute([&] {
-      team_->parallel_chunks(
-          0, n_masters, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t outdeg = g_.global_out_degree[i];
-              if (outdeg == 0) continue;
-              const double contrib = rank[i] / static_cast<double>(outdeg);
-              g_.out_edges.for_each_edge(
-                  static_cast<graph::VertexId>(i),
-                  [&](graph::VertexId dst_lid, graph::Weight) {
-                    apps::atomic_add(partial[dst_lid], contrib);
-                    touched.set(dst_lid);
-                  });
-            }
-          });
+      apps::pagerank_gather(*team_, g_, rank, contrib, partial, touched);
     });
 
     // Pagerank is dense every round: the whole per-destination frame goes
@@ -368,7 +358,6 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
 
     double local_delta = 0.0;
     loop.compute([&] {
-      touched.for_each([&](std::size_t dst) { partial[dst] = 0.0; });
       touched.clear_all();
       for (std::size_t i = 0; i < n_masters; ++i) {
         const double next = (1.0 - damping) / n_global + damping * accum[i];

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -187,10 +186,6 @@ class Registry {
   /// (the probes' owners see their atomics reset). snapshot() after reset()
   /// with no traffic in between reports all zeroes.
   void reset();
-
-  void for_each_histogram(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
 
  private:
   friend class Registration;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "abelian/cluster.hpp"
@@ -318,6 +319,49 @@ TEST(AbelianAppsExtra, PagerankMassConserved) {
     expected_total += expected[v];
   }
   EXPECT_NEAR(total, expected_total, 1e-9);
+}
+
+// PageRank pulls over the in-edge transpose, so each destination's sum runs
+// in ascending local-source order whatever the thread count: on one host it
+// is the reference's order exactly, and on the vertex cut the ranks do not
+// depend on how many compute threads gathered them.
+bench::RunResult run_pagerank_rmat11(int hosts, std::size_t threads) {
+  graph::Csr g = graph::rmat(11, 8.0);
+  bench::RunSpec spec;
+  spec.app = "pagerank";
+  spec.engine = "abelian";
+  spec.policy = graph::PartitionPolicy::CartesianVertexCut;
+  spec.hosts = hosts;
+  spec.threads = threads;
+  spec.pagerank_iters = 10;
+  return bench::run_app(g, spec);
+}
+
+TEST(AbelianPagerank, SingleHostBitwiseEqualsReferenceAtEveryThreadCount) {
+  const auto expected =
+      apps::reference_pagerank(graph::rmat(11, 8.0), 0.85, 10, 0.0);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    const auto result = run_pagerank_rmat11(1, threads);
+    ASSERT_EQ(result.labels_f64.size(), expected.size());
+    EXPECT_EQ(std::memcmp(result.labels_f64.data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0)
+        << "threads " << threads;
+  }
+}
+
+TEST(AbelianPagerank, VertexCutRanksIndependentOfThreadCount) {
+  for (int hosts : {2, 4}) {
+    const auto base = run_pagerank_rmat11(hosts, 1);
+    for (std::size_t threads : {2u, 4u}) {
+      const auto result = run_pagerank_rmat11(hosts, threads);
+      ASSERT_EQ(result.labels_f64.size(), base.labels_f64.size());
+      EXPECT_EQ(std::memcmp(result.labels_f64.data(), base.labels_f64.data(),
+                            base.labels_f64.size() * sizeof(double)),
+                0)
+          << "hosts " << hosts << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace

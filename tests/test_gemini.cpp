@@ -1,6 +1,7 @@
 // End-to-end correctness of the Gemini engine with both comm backends.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "abelian/cluster.hpp"
@@ -198,6 +199,29 @@ TEST(GeminiExtra, StatsArePopulated) {
   EXPECT_GT(result.rounds, 0u);
   EXPECT_GT(result.messages, 0u);
   EXPECT_GT(result.bytes, 0u);
+}
+
+// PageRank pulls over the in-edge transpose in ascending source order, so a
+// single host's ranks are the reference's bit for bit at any thread count.
+// (Across hosts the receive-side apply adds peers' partials in arrival order,
+// so multi-host ranks are only 1e-9-close.)
+TEST(GeminiPagerank, SingleHostBitwiseEqualsReferenceAtEveryThreadCount) {
+  const graph::Csr g = graph::rmat(11, 8.0);
+  const auto expected = apps::reference_pagerank(g, 0.85, 10, 0.0);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    bench::RunSpec spec;
+    spec.app = "pagerank";
+    spec.engine = "gemini";
+    spec.hosts = 1;
+    spec.threads = threads;
+    spec.pagerank_iters = 10;
+    const auto result = bench::run_app(g, spec);
+    ASSERT_EQ(result.labels_f64.size(), expected.size());
+    EXPECT_EQ(std::memcmp(result.labels_f64.data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0)
+        << "threads " << threads;
+  }
 }
 
 }  // namespace
