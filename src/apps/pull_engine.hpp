@@ -37,9 +37,9 @@ std::vector<typename Traits::Label> run_pull(
   std::vector<Label> labels(n);
   rt::ConcurrentBitset dirty(n);
 
-  for (std::size_t lid = 0; lid < n; ++lid)
-    labels[lid] = Traits::init_label(
-        g.local_to_global(static_cast<graph::VertexId>(lid)), source);
+  g.for_each_local([&](graph::VertexId lid, graph::VertexId gid) {
+    labels[lid] = Traits::init_label(gid, source);
+  });
 
   const abelian::SyncPlan plan = abelian::plan_push_monotone(g.policy);
   // No recovery context: pull has no caller that runs it under a kill.

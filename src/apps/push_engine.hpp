@@ -45,13 +45,10 @@ std::vector<typename Traits::Label> run_push(
     if (g.out_edges.degree(lid) > 0) active.set(lid);
   };
 
-  for (std::size_t lid = 0; lid < n; ++lid) {
-    const graph::VertexId gid =
-        g.local_to_global(static_cast<graph::VertexId>(lid));
+  g.for_each_local([&](graph::VertexId lid, graph::VertexId gid) {
     labels[lid] = Traits::init_label(gid, source);
-    if (Traits::init_active(gid, source))
-      maybe_activate(static_cast<graph::VertexId>(lid));
-  }
+    if (Traits::init_active(gid, source)) maybe_activate(lid);
+  });
 
   const abelian::SyncPlan plan = abelian::plan_push_monotone(g.policy);
   // Checkpoint: labels + active set; everything else is rebuilt per round.

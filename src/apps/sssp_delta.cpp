@@ -41,11 +41,10 @@ std::vector<std::uint32_t> run_sssp_delta(abelian::HostEngine& eng,
     if (g.out_edges.degree(lid) > 0) active.set(lid);
   };
 
-  for (std::size_t lid = 0; lid < n; ++lid) {
-    if (g.local_to_global(static_cast<graph::VertexId>(lid)) == source) {
-      dist[lid] = 0;
-      maybe_activate(static_cast<graph::VertexId>(lid));
-    }
+  const graph::VertexId source_lid = g.global_to_local(source);
+  if (source_lid != graph::DistGraph::kNoLocal) {
+    dist[source_lid] = 0;
+    maybe_activate(source_lid);
   }
 
   const abelian::SyncPlan plan = abelian::plan_push_monotone(g.policy);

@@ -139,7 +139,13 @@ GeminiHost::GeminiHost(abelian::Cluster& cluster, const graph::DistGraph& g,
           cfg_.compute_threads);
       break;
   }
-  stats_.graph_mem_bytes.store(g.mem_bytes(), std::memory_order_relaxed);
+  mirror_gids_.reserve(g.lids.num_mirrors());
+  g.lids.visit_mirrors([&](graph::VertexId, graph::VertexId gid) {
+    mirror_gids_.push_back(gid);
+  });
+  stats_.graph_mem_bytes.store(
+      g.mem_bytes() + mirror_gids_.capacity() * sizeof(graph::VertexId),
+      std::memory_order_relaxed);
   stats_.graph_mem_bytes_uncompressed.store(g.mem_bytes_uncompressed(),
                                             std::memory_order_relaxed);
   stats_.graph_mirrors.store(g.num_local - g.num_masters,
@@ -346,8 +352,7 @@ std::vector<double> GeminiHost::run_pagerank(double damping,
             if (lo >= n_local) break;
             const std::size_t hi = std::min(n_local, lo + kGrain);
             touched.for_each_in_range(lo, hi, [&](std::size_t dst) {
-              const graph::VertexId gid =
-                  g_.local_to_global(static_cast<graph::VertexId>(dst));
+              const graph::VertexId gid = gid_of(dst);
               const auto owner = static_cast<std::size_t>(g_.owner_of(gid));
               if (direct_skip_[owner] != 0) return;  // already put
               emit(gid, partial[dst]);

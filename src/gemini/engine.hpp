@@ -93,8 +93,9 @@ struct GeminiStats {
   /// Dense frames that went out as one-sided direct puts (DESIGN.md §15).
   std::atomic<std::uint64_t> direct_sends{0};
   /// Gauges set once at construction: this host's lid-metadata footprint in
-  /// the compressed representation vs. the seed vector/hash-map model, and
-  /// the mirror count it amortizes over (DESIGN.md §17).
+  /// the compressed representation (plus the engine's flat mirror-gid table)
+  /// vs. the seed vector/hash-map model, and the mirror count it amortizes
+  /// over (DESIGN.md §17).
   std::atomic<std::uint64_t> graph_mem_bytes{0};
   std::atomic<std::uint64_t> graph_mem_bytes_uncompressed{0};
   std::atomic<std::uint64_t> graph_mirrors{0};
@@ -168,6 +169,15 @@ class GeminiHost {
   void direct_put_dense(const rt::ConcurrentBitset& touched,
                         const std::function<T(std::size_t)>& value_of);
 
+  /// Global id of local proxy `lid`: masters by arithmetic, mirrors from the
+  /// flat mirror_gids_ table. Every per-record translation goes through here
+  /// - a random mirror lookup in the compressed lid map decodes a chunk.
+  graph::VertexId gid_of(std::size_t lid) const noexcept {
+    return lid < g_.num_masters
+               ? g_.lids.master_lo() + static_cast<graph::VertexId>(lid)
+               : mirror_gids_[lid - g_.num_masters];
+  }
+
   /// Whether a cluster-wide failure is pending: round waits and back-pressure
   /// retries check this and unwind (never throw - the host-main driver
   /// raises the error at its next round boundary).
@@ -199,6 +209,7 @@ class GeminiHost {
 
   abelian::Cluster& cluster_;
   const graph::DistGraph& g_;
+  std::vector<graph::VertexId> mirror_gids_;  // gid of lid num_masters + i
   GeminiConfig cfg_;
   std::unique_ptr<comm::Backend> comm_;
   std::unique_ptr<rt::ThreadTeam> team_;
@@ -286,8 +297,7 @@ void GeminiHost::direct_put_dense(
   // decodes it exactly like a streamed chunk, just in place.
   std::vector<std::vector<std::byte>> frames(static_cast<std::size_t>(p));
   touched.for_each([&](std::size_t lid) {
-    const graph::VertexId gid =
-        g_.local_to_global(static_cast<graph::VertexId>(lid));
+    const graph::VertexId gid = gid_of(lid);
     const int owner = g_.owner_of(gid);
     if (owner == me) return;
     auto& f = frames[static_cast<std::size_t>(owner)];
@@ -686,7 +696,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
                     [&](graph::VertexId dst_lid, graph::Weight w) {
                       const Label cand = Traits::relax(src_label, w);
                       if (cand == Traits::kInf) return;
-                      emit(g_.local_to_global(dst_lid), cand);
+                      emit(gid_of(dst_lid), cand);
                     });
               });
             }
@@ -728,8 +738,7 @@ std::vector<typename Traits::Label> GeminiHost::run_push(
               if (lo >= n_local) break;
               const std::size_t hi = std::min(n_local, lo + kGrain);
               touched.for_each_in_range(lo, hi, [&](std::size_t dst) {
-                const graph::VertexId gid =
-                    g_.local_to_global(static_cast<graph::VertexId>(dst));
+                const graph::VertexId gid = gid_of(dst);
                 const auto owner = static_cast<std::size_t>(g_.owner_of(gid));
                 if (direct_skip_[owner] != 0) return;  // already put
                 emit(gid, combined[dst]);

@@ -86,6 +86,16 @@ class DistGraph {
     return lids.local_to_global(local);
   }
 
+  /// Streaming walk of every local proxy in lid order: fn(lid, gid). Masters
+  /// by arithmetic, then the mirror segment one decoded chunk at a time -
+  /// the per-lid init loops' alternative to local_to_global per mirror.
+  template <typename Fn>
+  void for_each_local(Fn&& fn) const {
+    const VertexId mlo = lids.master_lo();
+    for (VertexId lid = 0; lid < lids.num_masters(); ++lid) fn(lid, mlo + lid);
+    lids.visit_mirrors(fn);
+  }
+
   /// Owner host of a global vertex.
   int owner_of(VertexId gid) const {
     int lo = 0;

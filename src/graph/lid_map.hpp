@@ -19,17 +19,18 @@
 //   * master g2l / l2g     - pure arithmetic (gid - mlo / mlo + lid).
 //   * mirror g2l           - binary search over the anchors, then a scan of
 //                            one decoded chunk (<= kLidChunkSpan entries).
-//   * mirror l2g           - O(1) anchor pick + partial chunk decode.
+//   * mirror l2g           - O(1) anchor pick + one chunk decode into a
+//                            stack buffer (arithmetic for run chunks).
 //   * plan iteration       - streaming visit() for gathers, a PlanCursor
 //                            (one decoded chunk of state) for scatters.
 //
-// Decoded chunks are memoized in a small per-execution-context cache keyed
-// by fiber identity under the ULT host scheduler (the §16 re-keying rule,
-// same pattern as comm::detail::encode_scratch), so gemini's per-edge l2g
-// lookups and the engines' sequential plan walks decode each chunk once,
-// not once per entry. Cache entries are keyed by a process-unique map id
-// assigned at build() time, so a map that died can never satisfy a hit for
-// a map that reused its address.
+// There is no decode cache: every lookup decodes at most one chunk into the
+// caller's stack. Random mirror l2g is therefore too slow for a per-edge hot
+// loop - on kron 17 over 2 hosts each host's ~29.5k mirrors fill ~460 chunks,
+// none of them runs, so nearly every remote edge decoded a full 64-entry
+// chunk. Gemini's record producers keep their own flat mirror-gid table
+// (4 B per mirror, gemini/engine.hpp) for that; everything else here walks
+// sequentially (visit / PlanCursor) or looks up once per vertex.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "runtime/ult.hpp"
 #include "runtime/varint.hpp"
 
 namespace lcr::graph {
@@ -50,44 +50,6 @@ namespace lcr::graph {
 inline constexpr std::uint32_t kLidChunkSpan = 64;
 
 namespace detail {
-
-/// Per-context decode cache (see file comment). Direct-mapped by
-/// (sequence id, chunk index); ways sized so an engine interleaving a plan
-/// walk with lid-map lookups doesn't thrash one slot.
-inline constexpr std::size_t kChunkCacheWays = 8;
-
-struct ChunkCacheEntry {
-  std::uint64_t seq_id = 0;  ///< owning sequence's unique id; 0 = empty
-  std::uint32_t chunk = 0;
-  std::uint32_t len = 0;
-  VertexId vals[kLidChunkSpan];
-};
-
-struct ChunkCache {
-  ChunkCacheEntry ways[kChunkCacheWays];
-};
-
-/// One cache per OS thread, or per fiber under the ULT host scheduler
-/// (DESIGN.md §16 re-keying rule): compute fibers of different simulated
-/// hosts multiplexed onto one worker never share decode state.
-inline ChunkCache& chunk_cache() {
-  if (ult::on_fiber()) {
-    static const int slot = ult::fls_alloc(
-        [](void* p) { delete static_cast<ChunkCache*>(p); });
-    auto* c = static_cast<ChunkCache*>(ult::fls_get(slot));
-    if (c == nullptr) {
-      c = new ChunkCache();
-      ult::fls_set(slot, c);
-    }
-    return *c;
-  }
-  static thread_local ChunkCache cache;
-  return cache;
-}
-
-/// Process-unique sequence id (monotone, starts at 1). Defined in
-/// lid_map.cpp so every translation unit draws from one counter.
-std::uint64_t next_sequence_id();
 
 /// Delta-varint-encoded strictly increasing VertexId sequence in fixed
 /// kLidChunkSpan-entry chunks: the single representation behind both the
@@ -119,7 +81,6 @@ class DeltaChunks {
       c.chunk_off_.shrink_to_fit();
       c.run_.shrink_to_fit();
       c.bytes_.shrink_to_fit();
-      c.id_ = next_sequence_id();
       return c;
     }
 
@@ -163,16 +124,6 @@ class DeltaChunks {
 
   std::uint32_t size() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
-  std::uint64_t id() const noexcept { return id_; }
-
-  std::uint32_t num_chunks() const noexcept {
-    return static_cast<std::uint32_t>(anchors_.size());
-  }
-
-  /// True when chunk `chunk` is a pure run (anchor + i reconstructs it).
-  bool is_run(std::uint32_t chunk) const noexcept {
-    return run_[chunk] != 0;
-  }
 
   /// Decodes chunk `chunk` into out[0..len); returns len (<= kLidChunkSpan).
   std::uint32_t decode_chunk(std::uint32_t chunk, VertexId* out) const {
@@ -209,32 +160,20 @@ class DeltaChunks {
     return len;
   }
 
-  /// Decodes via the per-context cache; the entry stays valid until the
-  /// same context decodes a colliding (id, chunk) pair.
-  const ChunkCacheEntry& cached_chunk(std::uint32_t chunk) const {
-    ChunkCache& cache = chunk_cache();
-    ChunkCacheEntry& e =
-        cache.ways[(id_ * 0x9E3779B97F4A7C15ull + chunk) & (kChunkCacheWays - 1)];
-    if (e.seq_id != id_ || e.chunk != chunk) {
-      e.seq_id = id_;
-      e.chunk = chunk;
-      e.len = decode_chunk(chunk, e.vals);
-    }
-    return e;
-  }
-
-  /// Random access: arithmetic for run chunks, per-context cache otherwise.
+  /// Random access: arithmetic for run chunks, otherwise one chunk decode
+  /// into a stack buffer.
   VertexId at(std::uint32_t idx) const {
     const std::uint32_t chunk = idx / kLidChunkSpan;
     if (run_[chunk] != 0) return anchors_[chunk] + idx % kLidChunkSpan;
-    const ChunkCacheEntry& e = cached_chunk(chunk);
-    return e.vals[idx % kLidChunkSpan];
+    VertexId buf[kLidChunkSpan];
+    decode_chunk(chunk, buf);
+    return buf[idx % kLidChunkSpan];
   }
 
   static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
 
   /// Index of `value` in the sequence, or kNotFound. Binary search over the
-  /// anchors, then binary search inside one decoded (cached) chunk.
+  /// anchors, then binary search inside one decoded chunk.
   std::uint32_t find(VertexId value) const {
     if (count_ == 0 || value < anchors_[0]) return kNotFound;
     const auto it =
@@ -247,16 +186,16 @@ class DeltaChunks {
       const VertexId off = value - anchors_[chunk];  // >= 0 by upper_bound
       return off < len ? base + off : kNotFound;
     }
-    const ChunkCacheEntry& e = cached_chunk(chunk);
-    const VertexId* lo = e.vals;
-    const VertexId* hi = e.vals + e.len;
+    VertexId buf[kLidChunkSpan];
+    const VertexId* lo = buf;
+    const VertexId* hi = buf + decode_chunk(chunk, buf);
     const VertexId* pos = std::lower_bound(lo, hi, value);
     if (pos == hi || *pos != value) return kNotFound;
     return chunk * kLidChunkSpan + static_cast<std::uint32_t>(pos - lo);
   }
 
-  /// Streaming decode of index range [lo, hi): fn(index, value). Uses a
-  /// stack buffer, not the cache - a full walk would only evict hot chunks.
+  /// Streaming decode of index range [lo, hi): fn(index, value), one stack
+  /// buffer decode per chunk.
   template <typename Fn>
   void visit(std::uint32_t lo, std::uint32_t hi, Fn&& fn) const {
     if (lo >= hi) return;
@@ -287,7 +226,6 @@ class DeltaChunks {
 
  private:
   std::uint32_t count_ = 0;
-  std::uint64_t id_ = 0;
   std::vector<VertexId> anchors_;     ///< first value of each chunk
   std::vector<std::uint32_t> chunk_off_;  ///< byte offset of each chunk's deltas
   std::vector<std::uint8_t> run_;     ///< 1 = pure run chunk, no delta bytes
@@ -406,9 +344,6 @@ class PlanSpan {
   void visit(std::uint32_t lo, std::uint32_t hi, Fn&& fn) const {
     if (chunks_ != nullptr) chunks_->visit(lo, hi, fn);
   }
-
-  /// Random access through the per-context decode cache.
-  VertexId at(std::uint32_t pos) const { return chunks_->at(pos); }
 
   const detail::DeltaChunks* chunks() const noexcept { return chunks_; }
 

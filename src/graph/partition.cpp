@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 namespace lcr::graph {
 
@@ -155,18 +154,16 @@ std::vector<DistGraph> partition(const Csr& g, int num_hosts,
     for (const VertexId gid : mirrors) lids.add_mirror(gid);
     dg.lids = std::move(lids).build();
 
-    // Local CSR. Construction uses a throwaway g2l hash map - the edge list
-    // is touched once and random-order, so the transient map beats repeated
-    // chunk decodes; it dies with this scope and never ships with the graph.
-    std::unordered_map<VertexId, VertexId> g2l;
-    g2l.reserve(dg.num_local);
-    for (VertexId i = 0; i < dg.num_masters; ++i) g2l.emplace(mlo + i, i);
+    // Local CSR, relabelled through a transient dense g2l (like `seen`
+    // above, it dies with this scope and never ships with the graph).
+    std::vector<VertexId> g2l(n, CompressedLidMap::kNoLocal);
+    for (VertexId i = 0; i < dg.num_masters; ++i) g2l[mlo + i] = i;
     for (std::size_t i = 0; i < mirrors.size(); ++i)
-      g2l.emplace(mirrors[i], dg.num_masters + static_cast<VertexId>(i));
+      g2l[mirrors[i]] = dg.num_masters + static_cast<VertexId>(i);
     EdgeList local;
     local.reserve(host_edges[static_cast<std::size_t>(h)].size());
     for (const Edge& e : host_edges[static_cast<std::size_t>(h)])
-      local.emplace_back(g2l.at(e.first), g2l.at(e.second));
+      local.emplace_back(g2l[e.first], g2l[e.second]);
     dg.out_edges = Csr::from_edges(dg.num_local, local,
                                    host_weights[static_cast<std::size_t>(h)]);
     dg.in_edges = dg.out_edges.reverse();

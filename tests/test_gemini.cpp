@@ -82,6 +82,81 @@ std::vector<GeminiCase> make_cases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, GeminiApps, ::testing::ValuesIn(make_cases()),
                          case_name);
 
+/// Record producers translate mirror lids through the engine's flat mirror
+/// gid table. Kron 12 leaves every host's mirror segment with non-run delta
+/// chunks (gids that are not consecutive), the case a table or decode slip
+/// would get wrong; labels must equal the references exactly in both signal
+/// modes, at every host count, thread count and comm kind.
+struct MirrorTableCase {
+  const char* app;
+  int hosts;
+};
+
+class GeminiMirrorTable : public ::testing::TestWithParam<MirrorTableCase> {};
+
+TEST_P(GeminiMirrorTable, NonRunMirrorsMatchReference) {
+  const auto [app, hosts] = GetParam();
+  graph::GenOptions opt;
+  opt.make_weights = true;
+  opt.max_weight = 8;
+  graph::Csr g = graph::kron(12, 16.0, opt);
+  const bool is_cc = std::string(app) == "cc";
+  if (is_cc) g = graph::symmetrize(g);
+  const graph::VertexId source = bench::choose_source(g);
+  const std::vector<std::uint32_t> expected =
+      std::string(app) == "bfs"    ? apps::reference_bfs(g, source)
+      : std::string(app) == "sssp" ? apps::reference_sssp(g, source)
+                                   : apps::reference_cc(g);
+
+  // Guard against a trivial graph: some chunk of each host's mirror segment
+  // holds two neighbours whose gids are not consecutive.
+  for (const auto& part :
+       graph::partition(g, hosts, graph::PartitionPolicy::BlockedEdgeCut)) {
+    bool non_run = false;
+    graph::VertexId prev = 0;
+    part.lids.visit_mirrors([&](graph::VertexId lid, graph::VertexId gid) {
+      const graph::VertexId idx = lid - part.num_masters;
+      if (idx % graph::kLidChunkSpan != 0 && gid != prev + 1) non_run = true;
+      prev = gid;
+    });
+    ASSERT_TRUE(non_run) << "host " << part.host_id;
+  }
+
+  for (std::size_t threads : {1u, 2u}) {
+    for (comm::BackendKind backend :
+         {comm::BackendKind::Lci, comm::BackendKind::MpiProbe}) {
+      for (double threshold : {2.0 /*always sparse*/, 0.0 /*always dense*/}) {
+        SCOPED_TRACE(std::string(comm::to_string(backend)) + " threads " +
+                     std::to_string(threads) + " threshold " +
+                     std::to_string(threshold));
+        bench::RunSpec spec;
+        spec.app = app;
+        spec.engine = "gemini";
+        spec.backend = backend;
+        spec.hosts = hosts;
+        spec.threads = threads;
+        spec.source = source;
+        spec.gemini_dense_threshold = threshold;
+        EXPECT_EQ(bench::run_app(g, spec).labels_u32, expected);
+      }
+    }
+  }
+}
+
+std::vector<MirrorTableCase> mirror_table_cases() {
+  std::vector<MirrorTableCase> cases;
+  for (const char* app : {"bfs", "cc", "sssp"})
+    for (int hosts : {2, 3, 4}) cases.push_back({app, hosts});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kron12, GeminiMirrorTable, ::testing::ValuesIn(mirror_table_cases()),
+    [](const ::testing::TestParamInfo<MirrorTableCase>& info) {
+      return std::string(info.param.app) + "_h" +
+             std::to_string(info.param.hosts);
+    });
+
 /// Dual-mode check: forcing sparse signals, forcing dense pre-combining,
 /// and the adaptive default must all converge to the same labels.
 TEST(GeminiExtra, SparseAndDenseModesAgree) {
@@ -186,6 +261,26 @@ TEST(GeminiExtra, CommBufferTrackerBalances) {
       }
     }
   }
+}
+
+/// The flat mirror-gid table is graph metadata: the graph.mem_bytes gauge
+/// reports the compressed lid metadata plus exactly 4 B per mirror.
+TEST(GeminiExtra, GraphMemGaugeCountsMirrorTable) {
+  const graph::Csr g = graph::kron(10, 16.0);
+  auto parts =
+      graph::partition(g, 3, graph::PartitionPolicy::BlockedEdgeCut);
+  abelian::Cluster cluster(3, fabric::test_config());
+  cluster.run([&](int h) {
+    const auto& part = parts[static_cast<std::size_t>(h)];
+    gemini::GeminiHost host(cluster, part, gemini::GeminiConfig{});
+    const std::uint64_t mirrors = part.num_local - part.num_masters;
+    EXPECT_GT(mirrors, 0u) << "host " << h;
+    EXPECT_EQ(host.stats().graph_mirrors.load(), mirrors) << "host " << h;
+    EXPECT_EQ(host.stats().graph_mem_bytes.load(),
+              part.mem_bytes() + mirrors * sizeof(graph::VertexId))
+        << "host " << h;
+    cluster.oob_barrier();
+  });
 }
 
 TEST(GeminiExtra, StatsArePopulated) {

@@ -53,8 +53,8 @@ TEST(DeltaChunks, MatchesVectorShadowSeeded) {
     const graph::detail::DeltaChunks seq = std::move(b).build();
 
     ASSERT_EQ(seq.size(), shadow.size());
-    // Random access via the per-context cache, in scrambled order so the
-    // cache sees hits, misses and evictions.
+    // Random access in scrambled order: run and non-run chunks, every
+    // in-chunk offset.
     std::vector<std::uint32_t> order(n);
     for (std::size_t i = 0; i < n; ++i)
       order[i] = static_cast<std::uint32_t>(i);
@@ -91,21 +91,6 @@ TEST(DeltaChunks, MatchesVectorShadowSeeded) {
       });
       EXPECT_EQ(expect, hi);
     }
-  }
-}
-
-TEST(DeltaChunks, CacheNeverServesADeadSequence) {
-  // Destroy/rebuild in a loop: freed DeltaChunks storage is likely reused at
-  // the same address, so any cache hit keyed by address (instead of the
-  // process-unique sequence id) would hand back a dead sequence's values.
-  std::mt19937 rng(7);
-  for (int gen = 0; gen < 50; ++gen) {
-    const std::vector<VertexId> shadow = random_monotone(rng, 130, true);
-    graph::detail::DeltaChunks::Builder b;
-    for (const VertexId v : shadow) b.append(v);
-    const graph::detail::DeltaChunks seq = std::move(b).build();
-    for (std::uint32_t i = 0; i < seq.size(); i += 17)
-      ASSERT_EQ(seq.at(i), shadow[i]) << "generation " << gen;
   }
 }
 
@@ -276,6 +261,13 @@ TEST_P(LidMapOnPartitions, AgreesWithShadowModel) {
     ASSERT_EQ(part.num_local, l2g.size()) << "host " << h;
     for (VertexId lid = 0; lid < part.num_local; ++lid)
       EXPECT_EQ(part.local_to_global(lid), l2g[lid]);
+    // for_each_local streams every lid once, in order, with its gid.
+    VertexId next_lid = 0;
+    part.for_each_local([&](VertexId lid, VertexId gid) {
+      ASSERT_EQ(lid, next_lid++);
+      EXPECT_EQ(gid, part.local_to_global(lid));
+    });
+    EXPECT_EQ(next_lid, part.num_local) << "host " << h;
     for (VertexId gid = 0; gid < g.num_nodes(); ++gid) {
       const auto it = g2l.find(gid);
       EXPECT_EQ(part.global_to_local(gid),
